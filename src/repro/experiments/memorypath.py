@@ -57,9 +57,11 @@ def _writer(sim: Simulator, machine: Machine, tokens: Store) -> Generator:
     cpu = machine.cpu
     while True:
         start = sim.now
-        req = cpu.acquire()
-        yield req
+        req = cpu.try_acquire()
         try:
+            if req is None:
+                req = cpu.acquire()
+                yield req
             yield from machine.memory.write(CBR_PACKET_SIZE)
         finally:
             cpu.release(req, busy=sim.now - start)

@@ -43,11 +43,27 @@ class Cpu:
         extra_cmds = max(0, self._outstanding_commands() - 2)
         return p.io_stall_base + p.io_stall_per_command * extra_cmds
 
-    def acquire(self):
-        """Low-level claim on the CPU; yield the returned request event.
+    def try_acquire(self):
+        """Claim an idle CPU inline: a granted request, or ``None``.
 
-        Used by multi-phase paths (e.g. the NIC send path) that must hold
-        the CPU across memory operations.  Pair with :meth:`release`.
+        Multi-phase paths (e.g. the NIC send path) that must hold the CPU
+        across memory operations use it as::
+
+            req = cpu.try_acquire()
+            try:
+                if req is None:
+                    req = cpu.acquire()
+                    yield req
+                ...
+            finally:
+                cpu.release(req, busy=...)
+        """
+        return self._res.try_acquire()
+
+    def acquire(self):
+        """FIFO claim on the CPU; yield the returned request event.
+
+        Pair with :meth:`release`; see :meth:`try_acquire` for the idiom.
         """
         return self._res.request()
 
@@ -62,12 +78,15 @@ class Cpu:
         """Hold the CPU for ``duration`` seconds of work (FIFO queued)."""
         if duration < 0:
             raise ValueError(f"negative CPU time: {duration}")
-        req = self._res.request()
-        yield req
+        res = self._res
+        req = res.try_acquire()
         try:
+            if req is None:
+                req = res.request()
+                yield req
             yield self.sim.timeout(duration)
         finally:
-            self._res.release(req)
+            res.release(req)
         self.busy_time += duration
 
     def utilization(self, elapsed: float) -> float:

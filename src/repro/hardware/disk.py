@@ -176,12 +176,15 @@ class DiskDrive:
             # Chain command overhead (selection, messaging).  The grant
             # wait sits inside the try so an interrupt landing there still
             # releases (= cancels) the bus claim.
-            req = self.hba.bus.request()
+            chain = self.hba.bus
+            req = chain.try_acquire()
             try:
-                yield req
+                if req is None:
+                    req = chain.request()
+                    yield req
                 yield self.sim.timeout(self.hba.params.command_overhead)
             finally:
-                self.hba.bus.release(req)
+                chain.release(req)
 
             # Media-paced transfer, bursting chain+memory chunk by chunk.
             memory = self.machine.memory if self.machine is not None else None
@@ -193,9 +196,11 @@ class DiskDrive:
                 bus_t = step / self.hba.params.burst_rate
                 if media_t > bus_t:
                     yield self.sim.timeout(media_t - bus_t)
-                req = self.hba.bus.request()
+                req = chain.try_acquire()
                 try:
-                    yield req
+                    if req is None:
+                        req = chain.request()
+                        yield req
                     t0 = self.sim.now
                     if memory is not None:
                         mover = memory.dma_read(step) if write else memory.dma_write(step)
@@ -204,7 +209,7 @@ class DiskDrive:
                     if spent < bus_t:
                         yield self.sim.timeout(bus_t - spent)
                 finally:
-                    self.hba.bus.release(req)
+                    chain.release(req)
                 remaining -= step
 
             # Completion interrupt on the CPU.

@@ -36,17 +36,20 @@ class MemoryBus:
         """Move ``nbytes`` at ``rate``, holding the bus one chunk at a time."""
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
+        bus = self._bus
         chunk = self.params.chunk_bytes
         remaining = nbytes
         while remaining > 0:
             step = min(chunk, remaining)
-            req = self._bus.request()
-            yield req
             hold = step / rate
+            req = bus.try_acquire()
             try:
+                if req is None:
+                    req = bus.request()
+                    yield req
                 yield self.sim.timeout(hold)
             finally:
-                self._bus.release(req)
+                bus.release(req)
             self.busy_time += hold
             self.bytes_moved += step
             remaining -= step

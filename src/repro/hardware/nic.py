@@ -78,9 +78,11 @@ class NetworkInterface:
         cpu = self.machine.cpu
         memory = self.machine.memory
         start = self.sim.now
-        req = cpu.acquire()
-        yield req
+        req = cpu.try_acquire()
         try:
+            if req is None:
+                req = cpu.acquire()
+                yield req
             self._last_activity = self.sim.now
             stall = cpu.io_stall_time()
             outstanding = self.machine.outstanding_commands()
@@ -120,9 +122,11 @@ class NetworkInterface:
         memory = self.machine.memory
         n = len(chunks)
         start = self.sim.now
-        req = cpu.acquire()
-        yield req
+        req = cpu.try_acquire()
         try:
+            if req is None:
+                req = cpu.acquire()
+                yield req
             self._last_activity = self.sim.now
             stall = cpu.io_stall_time()
             outstanding = self.machine.outstanding_commands()
@@ -147,9 +151,11 @@ class NetworkInterface:
         memory = self.machine.memory
         yield from memory.dma_write(nbytes)  # device -> mbuf
         start = self.sim.now
-        req = cpu.acquire()
-        yield req
+        req = cpu.try_acquire()
         try:
+            if req is None:
+                req = cpu.acquire()
+                yield req
             stall = cpu.io_stall_time()
             yield self.sim.timeout(cpu.params.udp_recv_overhead + stall)
             yield from memory.read(nbytes)  # checksum verify

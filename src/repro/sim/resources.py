@@ -6,12 +6,19 @@
 
 Usage inside a process::
 
-    req = bus.request()
-    yield req
+    req = bus.try_acquire()
     try:
+        if req is None:
+            req = bus.request()
+            yield req
         yield sim.timeout(transfer_time)
     finally:
         bus.release(req)
+
+``try_acquire`` grants an idle resource inline, so the common uncontended
+claim costs no queue entry.  The wait sits inside the ``try`` so that an
+interrupt landing while queued releases (= cancels) the claim instead of
+leaving it to be granted to nobody.
 """
 
 from __future__ import annotations
@@ -70,6 +77,24 @@ class Resource:
             req.succeed(req)
         else:
             self._enqueue(req)
+        return req
+
+    def try_acquire(self, priority: float = 0.0) -> Optional[Request]:
+        """Claim one unit without waiting, or return ``None``.
+
+        Succeeds only when a unit is free, which implies nobody is queued
+        (``release`` hands a freed unit straight to the next waiter), so it
+        never jumps the FIFO.  The returned request is already granted and
+        fired: nothing is scheduled, and the caller carries on in the same
+        step.  (Yielding it anyway resumes the caller at the same instant.)
+        """
+        if len(self._holders) >= self.capacity:
+            return None
+        req = Request(self, priority)
+        req._triggered = True
+        req._value = req
+        req.callbacks = None
+        self._holders.add(req)
         return req
 
     def release(self, req: Request) -> None:

@@ -88,6 +88,47 @@ class TestCpuStall:
         assert (p1.value, p2.value) == (1.0, 2.0)
 
 
+def _assert_interrupted_claim_frees(sim, resource, claim):
+    """One holder, one queued claimant interrupted at 0.1 ms, then a third.
+
+    The interrupted claimant's request must be withdrawn, not granted to
+    nobody later: the third claimant finishes and the resource ends idle.
+    """
+
+    def claimant():
+        yield from claim()
+
+    sim.process(claimant(), name="holder")
+    queued = sim.process(claimant(), name="queued")
+    sim.schedule(1e-4, queued.interrupt, "crash")
+    sim.run(until=2e-4)
+    third = sim.process(claimant(), name="third")
+    sim.run(until=1.0)
+    assert third.triggered and third.ok
+    assert (resource.in_use, resource.queue_length) == (0, 0)
+
+
+class TestInterruptedClaims:
+    """MSU crash/hang interrupts processes queued on the bus or the CPU."""
+
+    def test_memory_bus_claim_released_on_interrupt(self, sim):
+        bus = MemoryBus(sim)
+        _assert_interrupted_claim_frees(
+            sim, bus._bus, lambda: bus.copy(bus.params.chunk_bytes)
+        )
+
+    def test_cpu_claim_released_on_interrupt(self, sim):
+        cpu = Machine(sim, MachineParams(disks_per_hba=())).cpu
+        _assert_interrupted_claim_frees(sim, cpu._res, lambda: cpu.execute(1e-3))
+
+    def test_nic_send_cpu_claim_released_on_interrupt(self, sim):
+        machine = Machine(sim, MachineParams(disks_per_hba=()))
+        nic = machine.add_nic(FDDI)
+        _assert_interrupted_claim_frees(
+            sim, machine.cpu._res, lambda: nic.udp_send(CBR_PACKET_SIZE)
+        )
+
+
 class TestMemoryBus:
     def test_transfer_time_matches_rate(self, sim):
         bus = MemoryBus(sim)

@@ -109,6 +109,59 @@ class TestPriorityResource:
         res.release(holder)
 
 
+@pytest.mark.parametrize("kind", [Resource, PriorityResource])
+class TestTryAcquire:
+    def test_grants_idle_resource_without_scheduling(self, sim, kind):
+        res = kind(sim, capacity=2)
+        req = res.try_acquire()
+        assert req is not None and req.ok and req.value is req
+        assert res.in_use == 1 and res.queue_length == 0
+        assert sim.peek() == float("inf")  # no queue entry behind the grant
+        sim.run()
+        assert sim.events_executed == 0
+
+    def test_refuses_while_held_or_queued(self, sim, kind):
+        res = kind(sim, capacity=1)
+        holder = res.request()
+        assert res.try_acquire() is None
+        waiter = res.request()
+        assert res.try_acquire() is None
+        res.release(holder)  # the unit passes straight to the waiter
+        assert res.try_acquire() is None
+        res.release(waiter)
+        assert res.try_acquire() is not None
+
+    def test_releasing_inline_grant_wakes_next_waiter(self, sim, kind):
+        res = kind(sim, capacity=1)
+        inline = res.try_acquire()
+
+        def waiter():
+            req = res.request()
+            yield req
+            res.release(req)
+            return sim.now
+
+        proc = sim.process(waiter())
+        sim.schedule(2.0, res.release, inline)
+        sim.run()
+        assert proc.value == 2.0
+        assert res.in_use == 0 and res.queue_length == 0
+
+    def test_yielding_inline_grant_resumes_same_instant(self, sim, kind):
+        res = kind(sim, capacity=1)
+
+        def mistaken():
+            yield sim.timeout(1.5)
+            req = res.try_acquire()
+            got = yield req  # not needed, but must not wedge
+            assert got is req
+            res.release(req)
+            return sim.now
+
+        assert run_process(sim, mistaken()) == 1.5
+        assert res.in_use == 0
+
+
 class TestStore:
     def test_fifo_items(self, sim):
         store = Store(sim)
@@ -188,3 +241,41 @@ class TestResourceProperties:
         sim.run()
         assert peak[0] <= capacity
         assert res.in_use == 0 and res.queue_length == 0
+
+    @given(
+        holds=st.lists(
+            st.tuples(st.sampled_from([0.05, 0.1, 0.25, 1.0]), st.integers(0, 3)),
+            min_size=1, max_size=20,
+        ),
+        capacity=st.integers(1, 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_inline_grants_keep_every_grant_time(self, holds, capacity):
+        """The try_acquire idiom grants each claim at the same instant as a
+        plain queued request (ties included); it only drops grant events."""
+
+        def run(inline: bool):
+            sim = Simulator()
+            res = Resource(sim, capacity=capacity)
+            spans = []
+
+            def worker(i, duration, start_slot):
+                yield sim.timeout(start_slot * 0.1)
+                req = res.try_acquire() if inline else None
+                if req is None:
+                    req = res.request()
+                    yield req
+                start = sim.now
+                yield sim.timeout(duration)
+                res.release(req)
+                spans.append((i, start, sim.now))
+
+            for i, (duration, slot) in enumerate(holds):
+                sim.process(worker(i, duration, slot))
+            sim.run()
+            return sorted(spans), sim.events_executed
+
+        queued, queued_events = run(inline=False)
+        inline, inline_events = run(inline=True)
+        assert inline == queued
+        assert inline_events <= queued_events
