@@ -2,9 +2,9 @@
 
 Two headline claims from the engine overhaul (DESIGN.md §13):
 
-* the fast configuration (timer wheel + coarsened pacing) runs the same
+* the fast configuration (coarsened pacing, batch 16) runs the same
   paced workload at least 5x faster than the reference configuration
-  (heap engine, one wakeup per packet), and
+  (one wakeup per packet), and
 * an installation of 1000 MSUs serving 100,000 concurrent viewers —
   the abstract's "hundreds of PCs producing thousands of streams" taken
   another order of magnitude out — simulates in CI-tolerable wall time.

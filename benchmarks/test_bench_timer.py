@@ -1,15 +1,7 @@
-"""Benchmark E9 — regenerates the timer-granularity jitter sweep (§2.2.1).
-
-Also benchmarks the raw event-scheduling engines (DESIGN.md §13): both
-engines churn an identical timer workload and publish their sustained
-events/second, with a regression guard on the wheel.
-"""
-
-import time
+"""Benchmark E9 — regenerates the timer-granularity jitter sweep (§2.2.1)."""
 
 from benchmarks.conftest import headline, publish
 from repro.experiments.timer_jitter import format_timer_jitter, run_timer_jitter
-from repro.sim import Simulator
 
 
 def test_bench_timer(benchmark):
@@ -32,62 +24,3 @@ def test_bench_timer(benchmark):
     # 150 ms worst-case bound.
     assert curves[10.0].max_late_ms > curves[0.0].max_late_ms
     assert curves[10.0].max_late_ms <= 150.0
-
-
-#: Conservative absolute floor for the wheel engine's raw scheduler
-#: throughput.  The reference machine sustains well over 400k events/s;
-#: anything under this floor means the engine itself broke, not that CI
-#: got a slow runner.
-WHEEL_FLOOR_EVENTS_PER_SEC = 50_000.0
-
-
-def _engine_churn(engine: str, n_streams: int = 200, duration: float = 10.0):
-    """Pure scheduler load: ``n_streams`` interleaved periodic timers.
-
-    Periods are co-prime-ish multiples of 1 ms so the wheel's near-band
-    buckets, slot-heap rotation and far-heap refill all get exercised
-    (not just one dense slot).
-    """
-    sim = Simulator(engine=engine)
-
-    def tick(period):
-        while True:
-            yield sim.sleep(period)
-
-    for i in range(n_streams):
-        sim.process(tick(0.001 + (i % 37) * 0.0007), name=f"t{i}")
-    start = time.perf_counter()
-    sim.run(until=duration)
-    wall = time.perf_counter() - start
-    return sim.events_executed / wall if wall > 0 else 0.0
-
-
-def test_bench_engine_throughput(benchmark):
-    heap_rate = _engine_churn("heap")
-    wheel_rate = benchmark.pedantic(_engine_churn, args=("wheel",), rounds=1)
-    report = (
-        "Raw scheduler throughput (200 interleaved periodic timers)\n"
-        f"  heap engine:  {heap_rate:>10.0f} events/s\n"
-        f"  wheel engine: {wheel_rate:>10.0f} events/s\n"
-        f"  (wheel/heap: {wheel_rate / heap_rate:.2f}x)"
-    )
-    publish(
-        benchmark, "engine_throughput", report,
-        heap_events_per_sec=round(heap_rate),
-        wheel_events_per_sec=round(wheel_rate),
-    )
-    headline(
-        "engine_throughput", "wheel_events_per_sec",
-        round(wheel_rate), "events/s",
-        heap_events_per_sec=round(heap_rate),
-        ratio=round(wheel_rate / heap_rate, 3),
-    )
-    # Regression guard: wall-clock baselines don't transfer between
-    # machines, so the guard is relative — the wheel must stay within
-    # 20% of the heap engine measured in the same process — backed by a
-    # conservative absolute floor.
-    assert wheel_rate >= 0.8 * heap_rate, (
-        f"wheel engine regressed: {wheel_rate:.0f} events/s vs "
-        f"heap {heap_rate:.0f} events/s"
-    )
-    assert wheel_rate >= WHEEL_FLOOR_EVENTS_PER_SEC

@@ -115,7 +115,3 @@ class SpscQueue:
         """Event that fires when a put has happened (may be stale; poll
         :meth:`try_get` after waking)."""
         return self._wakeup.get()
-
-    def cancel_wait(self, event) -> None:
-        """Withdraw a pending :meth:`wait` event."""
-        self._wakeup.cancel(event)

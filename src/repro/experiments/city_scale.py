@@ -7,12 +7,12 @@ with an instrumented *fake* MSU so that only the load under measurement
 exists.  This experiment does the simulator-side equivalent for the
 engine overhaul (DESIGN.md §13):
 
-* :func:`run_engine_bench` measures the speedup the overhaul delivers on
-  a paced-delivery workload: the reference configuration (binary-heap
-  scheduler, one wakeup per packet) against the fast configuration
-  (timer-wheel scheduler, coarsened pacing).  Both run identical stream
-  populations for identical simulated time; the figure of merit is the
-  wall-time ratio and the events/second each engine sustains.
+* :func:`run_engine_bench` measures the speedup coarsened pacing delivers
+  on a paced-delivery workload: the reference configuration (one wakeup
+  per packet) against the fast configuration (one wakeup per
+  ``fast_batch`` packets).  Both run identical stream populations for
+  identical simulated time on the same scheduler; the figure of merit is
+  the wall-time ratio and the events/second each configuration sustains.
 
 * :func:`run_city_scale` is the E13 scaling sweep taken to city scale:
   installations of up to 1000 MSUs serving 100,000 concurrent viewers.
@@ -81,7 +81,6 @@ class _PacedStream:
 class EngineBenchResult:
     """One configuration's run of the paced workload."""
 
-    engine: str
     pacing_batch: int
     streams: int
     sim_seconds: float
@@ -94,11 +93,11 @@ class EngineBenchResult:
 
 
 def _bench_one(
-    engine: str, pacing_batch: int, streams: int, duration: float
+    pacing_batch: int, streams: int, duration: float
 ) -> EngineBenchResult:
-    sim = Simulator(engine=engine)
+    sim = Simulator()
     sim.pacing_batch = pacing_batch
-    # Stagger starts across one packet period so the heap/wheel carries a
+    # Stagger starts across one packet period so the queue carries a
     # realistic spread of deadlines rather than one synchronized pulse.
     pacers = [
         _PacedStream(sim, stagger=(i / streams) * PACKET_SPACING)
@@ -109,7 +108,6 @@ def _bench_one(
     wall = time.perf_counter() - start
     assert sum(p.packets for p in pacers) > 0
     return EngineBenchResult(
-        engine=engine,
         pacing_batch=pacing_batch,
         streams=streams,
         sim_seconds=duration,
@@ -125,12 +123,11 @@ def run_engine_bench(
 ) -> List[EngineBenchResult]:
     """Reference configuration vs fast configuration, identical workload.
 
-    Returns ``[reference, fast]``: the heap engine pacing every packet
-    (the pre-overhaul behaviour) and the wheel engine with coarsened
-    pacing (what the city-scale runs use).
+    Returns ``[reference, fast]``: pacing every packet (the pre-overhaul
+    behaviour) and coarsened pacing (what the city-scale runs use).
     """
-    reference = _bench_one("heap", 1, streams, duration)
-    fast = _bench_one("wheel", fast_batch, streams, duration)
+    reference = _bench_one(1, streams, duration)
+    fast = _bench_one(fast_batch, streams, duration)
     return [reference, fast]
 
 
@@ -147,14 +144,14 @@ def engine_speedup(results: Sequence[EngineBenchResult]) -> float:
 def format_engine_bench(results: Sequence[EngineBenchResult]) -> str:
     """Render the engine comparison table."""
     lines = [
-        "Engine overhaul speedup (identical paced workload)",
-        f"{'config':>22} | {'streams':>7} | {'events':>9} | "
+        "Coarsened-pacing speedup (identical paced workload)",
+        f"{'config':>10} | {'streams':>7} | {'events':>9} | "
         f"{'wall s':>7} | {'events/s':>10}",
     ]
     for r in results:
-        config = f"{r.engine}, batch={r.pacing_batch}"
+        config = f"batch={r.pacing_batch}"
         lines.append(
-            f"{config:>22} | {r.streams:>7} | {r.events:>9} | "
+            f"{config:>10} | {r.streams:>7} | {r.events:>9} | "
             f"{r.wall_seconds:>7.2f} | {r.events_per_sec:>10.0f}"
         )
     lines.append(f"(speedup: {engine_speedup(results):.1f}x wall time)")
@@ -183,7 +180,7 @@ def _city_one(
 ) -> CityScalePoint:
     from repro.core.coordinator import Coordinator
 
-    sim = Simulator(engine="wheel")
+    sim = Simulator()
     sim.pacing_batch = pacing_batch
     intra = Network(sim, "intra", latency=ms(1.0))
     coordinator = Coordinator(sim)
@@ -231,7 +228,7 @@ def run_city_scale(
 def format_city_scale(points: List[CityScalePoint]) -> str:
     """Render the city-scale sweep."""
     lines = [
-        "City-scale installations (wheel engine, coarsened pacing)",
+        "City-scale installations (coarsened pacing)",
         f"{'MSUs':>5} | {'viewers':>8} | {'aggregate MB/s':>14} | "
         f"{'wall s':>7} | {'events/s':>9} | {'coord CPU':>9}",
     ]

@@ -3,7 +3,8 @@
 This package is the substrate on which every Calliope component runs.  It
 provides a small, SimPy-like coroutine scheduler:
 
-* :class:`~repro.sim.engine.Simulator` — the event loop and clock.
+* :class:`~repro.sim.engine.Simulator` — the event loop and clock, over one
+  binary-heap queue (:class:`~repro.sim.engine.HeapScheduler`).
 * :class:`~repro.sim.engine.Process` — a generator-based simulated process.
 * :class:`~repro.sim.engine.Event` / :class:`~repro.sim.engine.Timeout` —
   waitable primitives a process may ``yield``.
@@ -16,24 +17,20 @@ wall-clock time or global randomness is consulted anywhere.
 """
 
 from repro.sim.engine import (
-    DEFAULT_ENGINE,
-    ENGINES,
     AllOf,
     AnyOf,
     Event,
+    HeapScheduler,
     Interrupt,
     Process,
     Simulator,
     Timeout,
 )
 from repro.sim.resources import PriorityResource, Resource, Store
-from repro.sim.wheel import HeapScheduler, TimerWheel
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "DEFAULT_ENGINE",
-    "ENGINES",
     "Event",
     "HeapScheduler",
     "Interrupt",
@@ -42,6 +39,5 @@ __all__ = [
     "Resource",
     "Simulator",
     "Store",
-    "TimerWheel",
     "Timeout",
 ]

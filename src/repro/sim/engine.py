@@ -18,25 +18,19 @@ Example::
     sim.run()
     assert results == [1.5]
 
-Two interchangeable schedulers sit behind :meth:`Simulator.schedule`:
-
-* ``heap`` — the reference single-binary-heap queue (the seed engine).
-* ``wheel`` — a bucketed timer wheel (:mod:`repro.sim.wheel`) that turns
-  most scheduling into O(1) list appends for the dense near-future band.
-
-Both pop in exactly global ``(time, seq)`` order, so every run is
-bit-for-bit identical under either engine; ``tests/test_engine_equivalence.py``
-holds them to that with golden traces and a Hypothesis heap oracle.  Select
-with ``Simulator(engine=...)`` or the ``CALLIOPE_ENGINE`` environment
-variable (default: ``wheel``).
+The queue is one binary heap (:class:`HeapScheduler`) popping entries in
+global ``(time, seq)`` order, so every run is bit-for-bit reproducible;
+``tests/test_determinism.py`` holds the kernel to that by running golden
+scenarios and random workloads twice and diffing the traces.  The heap
+sits behind ``Simulator._sched`` as a plain object, the seam where a test
+can substitute another scheduler with the same ``push`` / ``pop`` /
+``next_time`` / ``__bool__`` shape.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Generator, Iterable, List, Optional
-
-from repro.sim.wheel import HeapScheduler, TimerWheel
+from heapq import heappop, heappush
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Event",
@@ -45,20 +39,43 @@ __all__ = [
     "Interrupt",
     "AllOf",
     "AnyOf",
+    "HeapScheduler",
     "Simulator",
-    "DEFAULT_ENGINE",
-    "ENGINES",
 ]
-
-#: The scheduler used when neither the constructor nor ``CALLIOPE_ENGINE``
-#: says otherwise.  The wheel became the default once the equivalence suite
-#: proved it schedule-identical to the reference heap.
-DEFAULT_ENGINE = "wheel"
-
-ENGINES = ("heap", "wheel")
 
 #: Fired pooled timeouts kept for reuse, per simulator.
 _TIMEOUT_POOL_MAX = 256
+
+_INF = float("inf")
+
+Entry = Tuple[float, int, Callable, tuple]
+
+
+class HeapScheduler:
+    """The event queue: one global binary heap of ``(time, seq, fn, args)``.
+
+    Entries stay tuples rather than ``__slots__`` objects deliberately:
+    tuples compare in C inside heapq, which measured ~2x faster than a
+    slotted entry class with a Python-level ``__lt__``.
+    """
+
+    __slots__ = ("_queue",)
+
+    def __init__(self):
+        self._queue: List[Entry] = []
+
+    def push(self, time: float, seq: int, fn: Callable, args: tuple) -> None:
+        heappush(self._queue, (time, seq, fn, args))
+
+    def pop(self) -> Entry:
+        return heappop(self._queue)
+
+    def next_time(self) -> float:
+        """Time of the next entry, or +inf when empty."""
+        return self._queue[0][0] if self._queue else _INF
+
+    def __bool__(self) -> bool:
+        return bool(self._queue)
 
 
 class Interrupt(Exception):
@@ -164,6 +181,13 @@ class Event:
             for fn in late:
                 fn(self)
 
+    def _withdraw(self) -> None:
+        """The last waiter on this untriggered event was interrupted away.
+
+        An event that stands for a queued claim (a ``Store`` getter) gives
+        the claim back here; a plain event has nothing to return.
+        """
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self._triggered else "pending"
         label = f" {self.name!r}" if self.name else ""
@@ -264,6 +288,8 @@ class Process(Event):
                     target.callbacks.remove(self._resume)
                 except ValueError:
                     pass
+                if not target._triggered and not target.callbacks:
+                    target._withdraw()
             elif target._late is not None:
                 try:
                     target._late.remove(self._resume)
@@ -364,37 +390,22 @@ def AnyOf(sim: "Simulator", events: Iterable[Event]) -> Event:
     return done
 
 
-def _resolve_engine(engine: Optional[str]) -> str:
-    name = engine or os.environ.get("CALLIOPE_ENGINE") or DEFAULT_ENGINE
-    name = name.strip().lower()
-    if name not in ENGINES:
-        raise ValueError(
-            f"unknown engine {name!r} (choose from {', '.join(ENGINES)})"
-        )
-    return name
-
-
 class Simulator:
     """The event loop: a clock plus a priority queue of pending events.
 
     Simultaneous events fire in scheduling order (stable via a sequence
-    counter) which makes every run bit-for-bit reproducible — under either
-    scheduler.
+    counter) which makes every run bit-for-bit reproducible.
 
-    ``engine`` picks the queue implementation (``"heap"`` or ``"wheel"``;
-    default from ``CALLIOPE_ENGINE``, falling back to the wheel).  ``trace``
-    may be set (also post-construction) to a callable receiving
+    ``trace`` may be set (also post-construction) to a callable receiving
     ``(time, seq, fn, args)`` just before each entry executes; the
-    equivalence harness uses it to record golden schedules.
+    determinism suite uses it to record schedules.
     """
 
-    def __init__(self, engine: Optional[str] = None,
-                 trace: Optional[Callable] = None):
+    def __init__(self, trace: Optional[Callable] = None):
         self._now = 0.0
         self._seq = 0
         self._active_process: Optional[Process] = None
-        self.engine = _resolve_engine(engine)
-        self._sched = HeapScheduler() if self.engine == "heap" else TimerWheel()
+        self._sched = HeapScheduler()
         #: Observability hook: called with (time, seq, fn, args) per event.
         self.trace = trace
         #: Total queue entries executed (the E23 events/sec numerator).

@@ -160,6 +160,24 @@ class PriorityResource(Resource):
         return req
 
 
+class _StoreGet(Event):
+    """A pending :meth:`Store.get` that knows its store.
+
+    If the process waiting on it is interrupted before an item arrives,
+    the kernel withdraws the getter, so the next ``put`` reaches a live
+    getter (or the item queue) instead of a dead one.
+    """
+
+    __slots__ = ("store",)
+
+    def __init__(self, store: "Store"):
+        super().__init__(store.sim, name=f"get:{store.name}")
+        self.store = store
+
+    def _withdraw(self) -> None:
+        self.store._getters.remove(self)
+
+
 class Store:
     """An unbounded FIFO queue of items with blocking ``get``.
 
@@ -178,16 +196,14 @@ class Store:
 
     def put(self, item: Any) -> None:
         """Deposit ``item``, waking the oldest blocked getter if any."""
-        while self._getters:
-            getter = self._getters.popleft()
-            if not getter.triggered:  # skip cancelled getters
-                getter.succeed(item)
-                return
-        self._items.append(item)
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        else:
+            self._items.append(item)
 
     def get(self) -> Event:
         """Return an event that fires with the next available item."""
-        ev = Event(self.sim, name=f"get:{self.name}")
+        ev = _StoreGet(self)
         if self._items:
             ev.succeed(self._items.popleft())
         else:
@@ -197,12 +213,3 @@ class Store:
     def try_get(self) -> Optional[Any]:
         """Non-blocking take: the next item or ``None`` if empty."""
         return self._items.popleft() if self._items else None
-
-    def cancel(self, ev: Event) -> None:
-        """Withdraw a pending ``get`` (no-op if it already fired)."""
-        if not ev.triggered:
-            ev.succeed(None)
-            try:
-                self._getters.remove(ev)
-            except ValueError:
-                pass

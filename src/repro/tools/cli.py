@@ -13,7 +13,6 @@ Usage::
     python -m repro.tools.cli recovery journal.json --follow
     python -m repro.tools.cli edge --edges 2 --duration 30
     python -m repro.tools.cli live --channels 3 --surfers 55
-    python -m repro.tools.cli --engine heap verify --seed 1..3
 
 Each experiment subcommand runs the corresponding runner and prints the
 same rows/series the paper reports (see EXPERIMENTS.md).  ``verify``
@@ -24,19 +23,13 @@ run the same sweep against a scaled-out Coordinator (DESIGN.md §14) with
 the leader-kill and shard-partition fault kinds enabled.  ``recovery``
 inspects, replays or compacts a Coordinator journal file (DESIGN.md §10);
 ``--follow`` tails one as new records land, the way the warm standby does.
-
-``--engine {heap,wheel}`` is accepted anywhere on the command line (all
-subcommands included) and selects the simulation engine for the whole
-invocation by setting ``CALLIOPE_ENGINE`` (DESIGN.md §13); the default
-is the timer wheel.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 __all__ = ["main", "EXPERIMENTS", "follow_journal"]
 
@@ -234,38 +227,6 @@ EXPERIMENTS: Dict[str, tuple] = {
         "§2.2 warm-standby takeover + sharded admission (E24, extension)",
     ),
 }
-
-
-def _apply_engine(value: str) -> None:
-    from repro.sim import ENGINES
-
-    if value not in ENGINES:
-        raise SystemExit(
-            f"--engine must be one of: {', '.join(ENGINES)} (got {value!r})"
-        )
-    os.environ["CALLIOPE_ENGINE"] = value
-
-
-def _extract_engine(argv: List[str]) -> List[str]:
-    """Strip a global ``--engine`` flag from anywhere in ``argv``.
-
-    Handled before subcommand dispatch so every subcommand (verify,
-    recovery, edge, live, experiments) honours it without each parser
-    having to declare it.
-    """
-    out: List[str] = []
-    it = iter(argv)
-    for arg in it:
-        if arg == "--engine":
-            value = next(it, None)
-            if value is None:
-                raise SystemExit("--engine requires a value (heap or wheel)")
-            _apply_engine(value)
-        elif arg.startswith("--engine="):
-            _apply_engine(arg.split("=", 1)[1])
-        else:
-            out.append(arg)
-    return out
 
 
 def _parse_seeds(spec: str) -> list:
@@ -703,7 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    argv = _extract_engine(list(argv))
     if argv and argv[0] == "verify":
         return verify_main(argv[1:])
     if argv and argv[0] == "recovery":

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import PriorityResource, Resource, Simulator, Store
+from repro.sim import Interrupt, PriorityResource, Resource, Simulator, Store
 from tests.conftest import run_process
 
 
@@ -197,13 +197,27 @@ class TestStore:
         store.put(5)
         assert store.try_get() == 5
 
-    def test_cancel_pending_get(self, sim):
+    def test_interrupted_getter_does_not_swallow_put(self, sim):
+        """A getter interrupted while blocked is withdrawn from the store,
+        so the next put reaches the live getter instead of the dead one."""
         store = Store(sim)
-        getter = store.get()
-        store.cancel(getter)
-        store.put("x")
-        # the cancelled getter must not swallow the item
-        assert store.try_get() == "x"
+        log = []
+
+        def getter(tag):
+            try:
+                item = yield store.get()
+            except Interrupt:
+                log.append((tag, "interrupted", sim.now))
+            else:
+                log.append((tag, item, sim.now))
+
+        first = sim.process(getter("a"))
+        sim.schedule(0.1, first.interrupt)
+        sim.schedule(0.2, sim.process, getter("b"))
+        sim.schedule(0.3, store.put, "x")
+        sim.run()
+        assert log == [("a", "interrupted", 0.1), ("b", "x", 0.3)]
+        assert not store._getters and len(store) == 0
 
     def test_len_counts_items(self, sim):
         store = Store(sim)
