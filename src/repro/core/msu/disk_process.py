@@ -98,13 +98,6 @@ class DiskProcess:
         """One read or write slot per active stream per cycle, forever."""
         while True:
             did_work = False
-            # Coarsened cycles coalesce cache-hit copy delays: each hit's
-            # memory-copy time accrues here and is paid in one sleep at the
-            # end of the pass (same total time, one wakeup).  Pages attach
-            # at the head of the window instead of spaced through it —
-            # work-ahead, per the pacing contract (DESIGN.md §13).
-            copy_debt = 0.0
-            coalesce = self.sim.effective_batch() > 1
             for stream in list(self.play_streams):
                 if not stream.wants_page():
                     continue
@@ -119,10 +112,7 @@ class DiskProcess:
                     self.pages_from_cache += 1
                     delay = self.cache.copy_time(len(buf))
                     if delay > 0:
-                        if coalesce:
-                            copy_debt += delay
-                        else:
-                            yield self.sim.sleep(delay)
+                        yield self.sim.sleep(delay)
                 else:
                     buf = yield from self.fs.read_file_block(
                         stream.handle, page_index
@@ -163,8 +153,6 @@ class DiskProcess:
                     self.remove(stream)
                     if self.on_record_drained is not None:
                         self.on_record_drained(stream)
-            if copy_debt > 0:
-                yield self.sim.sleep(copy_debt)
             self.cycles += 1
             if not did_work:
                 yield self.wakeup.wait()

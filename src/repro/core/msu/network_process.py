@@ -173,44 +173,6 @@ class NetworkProcess:
                 best = (stream, record, deadline)
         return best
 
-    def _burst_eligible(self, stream: PlayStream) -> bool:
-        """May ``stream`` be sent coarsened this round? (DESIGN.md §13)
-
-        Batching is reserved for undisturbed steady state: no recording
-        active (record ingest interleaves with sends on an exact poll
-        cadence), no recent VCR activity (``decoarse_packets`` re-arms on
-        pause/resume/seek and on injected faults), no live or multicast
-        flow (their receivers see wire times directly) and no pressure on
-        the delivery interface's output queue.
-        """
-        if stream.decoarse_packets > 0 or stream.seeking:
-            return False
-        if stream.is_channel or stream.live:
-            return False
-        if self.record_streams:
-            return False
-        nic = self.socket.host.nic
-        return nic is None or not nic.queue_pressure
-
-    def _collect_burst(self, stream: PlayStream, batch: int):
-        """Take up to ``batch`` consecutive records from the front page.
-
-        A burst never crosses a page boundary (buffer-swap bookkeeping
-        stays identical to the per-packet path) and stops short of any
-        interleaved control record, which must demultiplex to its own
-        port one packet at a time.  Returns ``(page, records)``; the
-        caller consumes the records from that exact page object.
-        """
-        page = stream.front()
-        if page is None:
-            return None, []
-        records = []
-        for record in page.records[page.next_record : page.next_record + batch]:
-            if record.kind == KIND_CONTROL:
-                break
-            records.append(record)
-        return page, records
-
     def _reap_finished(self) -> None:
         for stream in list(self.play_streams):
             if stream.state is StreamState.PLAYING and stream.at_end:
@@ -230,53 +192,6 @@ class NetworkProcess:
                 if due is None or due[2] > self.sim.now + 1e-9:
                     break
                 stream, record, deadline = due
-                batch = self.sim.effective_batch()
-                if batch > 1 and self._burst_eligible(stream):
-                    page, records = self._collect_burst(stream, batch)
-                    if len(records) > 1:
-                        # Coarsened send (DESIGN.md §13): the first record
-                        # is due now and absorbs the burst's whole
-                        # bookkeeping hold — at most (n-1) packets' worth
-                        # of CPU/NIC overhead of extra lateness — while
-                        # every later record goes out EARLY (work-ahead).
-                        # One hold and one host pass cover what would
-                        # otherwise be n separate wakeups.
-                        n = len(records)
-                        # Claim the records up front: a seek landing while
-                        # the burst is in flight flushes the buffers, and
-                        # the advance must not touch the new page.
-                        page.next_record += n
-                        yield self.sim.sleep(n * MSU_PACKET_OVERHEAD)
-                        yield from self.socket.send_many(
-                            stream.display_address,
-                            [r.payload for r in records],
-                        )
-                        now = self.sim.now
-                        spacing = {
-                            b.delivery_us - a.delivery_us
-                            for a, b in zip(records, records[1:])
-                        }
-                        if len(spacing) == 1:
-                            # CBR run: lateness is an arithmetic ramp —
-                            # store it as one compact entry.
-                            self.collector.record_ramp(
-                                now - stream.deadline(records[0]),
-                                -spacing.pop() / 1e6,
-                                n,
-                            )
-                        else:
-                            for r in records:
-                                self.collector.record(stream.deadline(r), now)
-                        stream.position_us = records[-1].delivery_us
-                        stream.packets_sent += n
-                        self.packets_sent += n
-                        if page.exhausted and self.disk_kick is not None:
-                            # Buffers swap: the drained one must refill
-                            # while the other transmits (§2.2.1).
-                            self.disk_kick(stream)
-                        continue
-                if stream.decoarse_packets > 0:
-                    stream.decoarse_packets -= 1
                 yield self.sim.sleep(MSU_PACKET_OVERHEAD)
                 destination = stream.display_address
                 if (

@@ -20,13 +20,8 @@ from repro.storage.ibtree import IBTreeConfig, IBTreeReader, IBTreeWriter, Packe
 
 __all__ = [
     "StreamState", "LoadedPage", "PlayStream", "ChannelStream", "PatchStream",
-    "RecordStream", "RateVariant", "DECOARSE_HOLD_PACKETS",
+    "RecordStream", "RateVariant",
 ]
-
-#: How many packets a stream sends per-packet after a VCR-visible
-#: transition (start, pause/resume, seek, rate switch) before the IOP may
-#: batch its wakeups again under coarsened pacing.
-DECOARSE_HOLD_PACKETS = 64
 
 
 class StreamState(enum.Enum):
@@ -118,11 +113,6 @@ class PlayStream:
         #: stream follows the growing tail and must not be reaped as
         #: finished when it momentarily catches up with the writer.
         self.live = False
-        #: Coarsened-pacing guard (DESIGN.md §13): while positive, the IOP
-        #: sends this stream strictly per packet, decrementing per send.
-        #: Every VCR-visible transition re-arms it so batching never blurs
-        #: the schedule around an interactive operation.
-        self.decoarse_packets = DECOARSE_HOLD_PACKETS
 
     # -- buffer protocol (network side) -----------------------------------
 
@@ -190,7 +180,6 @@ class PlayStream:
     def pause(self, now: float) -> None:
         self.state = StreamState.PAUSED
         self.pause_started = now
-        self.decoarse_packets = DECOARSE_HOLD_PACKETS
 
     def resume(self, now: float) -> None:
         if self.state is not StreamState.PAUSED:
@@ -211,14 +200,12 @@ class PlayStream:
             self.anchor += now - self.pause_started
             self.pause_started = None
         self.state = StreamState.PLAYING
-        self.decoarse_packets = DECOARSE_HOLD_PACKETS
 
     def flush_buffers(self) -> None:
         """Drop loaded pages (seek / rate switch) and invalidate reads."""
         self.buffers.clear()
         self.epoch += 1
         self.refill_wanted = True
-        self.decoarse_packets = DECOARSE_HOLD_PACKETS
 
     def reader(self) -> IBTreeReader:
         """An IB-tree reader over the current file."""

@@ -54,16 +54,6 @@ class NetworkInterface:
         """True if this NIC moved a packet within ACTIVITY_WINDOW seconds."""
         return (self.sim.now - self._last_activity) < self.ACTIVITY_WINDOW
 
-    @property
-    def queue_pressure(self) -> bool:
-        """True while the output queue is half full or more.
-
-        Coarsened senders consult this before batching: a loaded interface
-        means contention, and the pacing contract (DESIGN.md §13) requires
-        falling back to per-packet scheduling under contention.
-        """
-        return len(self._txq) * 2 >= self.params.txq_depth
-
     # -- host transmit path -------------------------------------------------
 
     def udp_send(self, nbytes: int, payload: Any = None) -> Generator:
@@ -100,49 +90,6 @@ class NetworkInterface:
         self._txq.append((payload, nbytes))
         self._tx_wakeup.put(True)
 
-    def udp_send_burst(self, chunks) -> Generator:
-        """Host send path for a burst of UDP packets in one CPU hold.
-
-        ``chunks`` is a list of ``(payload, nbytes)`` pairs.  The coarsened
-        pacing contract (DESIGN.md §13): the burst pays the same aggregate
-        cost as the per-packet path — n protocol overheads, n packets'
-        copy/checksum/DMA bytes — but holds the CPU once and wakes once,
-        so a steady-state stream costs O(1) events per batch instead of
-        O(events) per packet.  Queue-pressure check happens up front; a
-        burst that would overflow the output queue backs off whole.
-        """
-        if not chunks:
-            return
-        total = 0
-        for _, nbytes in chunks:
-            if nbytes <= 0:
-                raise ValueError(f"non-positive packet size {nbytes}")
-            total += nbytes
-        cpu = self.machine.cpu
-        memory = self.machine.memory
-        n = len(chunks)
-        start = self.sim.now
-        req = cpu.try_acquire()
-        try:
-            if req is None:
-                req = cpu.acquire()
-                yield req
-            self._last_activity = self.sim.now
-            stall = cpu.io_stall_time()
-            outstanding = self.machine.outstanding_commands()
-            stall += cpu.params.packet_disk_penalty * outstanding
-            yield self.sim.sleep(n * (cpu.params.udp_send_overhead + stall))
-            yield from memory.copy(total)  # user space -> kernel mbufs
-            yield from memory.read(total)  # UDP checksums
-        finally:
-            cpu.release(req, busy=self.sim.now - start)
-        while len(self._txq) + n > self.params.txq_depth:
-            self.enobufs_count += 1
-            yield self.sim.sleep(self.params.enobufs_backoff)
-        yield from memory.dma_read(total)  # device bus-master reads
-        self._txq.extend(chunks)
-        self._tx_wakeup.put(True)
-
     def udp_receive(self, nbytes: int) -> Generator:
         """Host receive path: device DMA write, checksum, copy to user."""
         if nbytes <= 0:
@@ -171,30 +118,6 @@ class NetworkInterface:
         while True:
             yield self._tx_wakeup.get()
             while self._txq:
-                batch = self.sim.effective_batch()
-                if batch > 1 and len(self._txq) > 1:
-                    # Coarsened drain: serialize up to ``batch`` queued
-                    # frames under one wakeup.  Line time is the exact sum
-                    # of the per-frame holds; the frames just land at the
-                    # end of the burst instead of one hold apart.
-                    frames = [
-                        self._txq.popleft()
-                        for _ in range(min(batch, len(self._txq)))
-                    ]
-                    hold = sum(
-                        (nb + self.params.header_bytes) / self.params.line_rate
-                        + self.params.frame_overhead
-                        for _, nb in frames
-                    )
-                    yield self.sim.sleep(hold)
-                    self._last_activity = self.sim.now
-                    self.line_busy_time += hold
-                    for payload, nbytes in frames:
-                        self.packets_sent += 1
-                        self.bytes_sent += nbytes
-                        if self.on_transmit is not None:
-                            self.on_transmit(payload, nbytes)
-                    continue
                 payload, nbytes = self._txq.popleft()
                 wire_bytes = nbytes + self.params.header_bytes
                 hold = wire_bytes / self.params.line_rate + self.params.frame_overhead

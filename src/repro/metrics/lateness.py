@@ -4,18 +4,15 @@ The paper plots, per workload, the cumulative percent of packets delivered
 within a given number of milliseconds of their deadline, in 1 ms bins
 (early or on-time packets land in bin 0).
 
-Accumulation is *lazy* (DESIGN.md §13): the collector stores raw samples —
-and, for coarsened pacing bursts, compact arithmetic *ramps* of samples —
-and only materializes the numpy series when a statistic is read.  A burst
-of N packets sent together against evenly spaced deadlines therefore costs
-O(1) space and time to record instead of N appends, which is what lets the
-city-scale runs keep exact per-packet accounting.
+Accumulation is *lazy* (DESIGN.md §13): the collector appends one raw
+sample per packet and only materializes the numpy series when a statistic
+is read, so the per-packet send path pays a list append and nothing more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -44,58 +41,30 @@ class LatenessCdf:
 class LatenessCollector:
     """Accumulates (deadline, actual send time) pairs for one workload."""
 
-    __slots__ = ("name", "_singles", "_ramps", "_count", "_materialized")
+    __slots__ = ("name", "_singles", "_materialized")
 
     def __init__(self, name: str = ""):
         self.name = name
         self._singles: List[float] = []
-        #: (first_late, step, n) arithmetic runs from coarsened bursts.
-        self._ramps: List[Tuple[float, float, int]] = []
-        self._count = 0
         self._materialized = None  # cached numpy array of all samples
 
     def record(self, deadline: float, sent_at: float) -> None:
         """Record one packet send against its schedule deadline."""
         self._singles.append(sent_at - deadline)
-        self._count += 1
-        self._materialized = None
-
-    def record_ramp(self, first_late: float, step: float, n: int) -> None:
-        """Record ``n`` packets whose lateness forms an arithmetic run.
-
-        A coarsened burst sends packets ``i = 0..n-1`` at one instant
-        against deadlines spaced ``-step`` apart, so packet ``i`` is
-        ``first_late + i * step`` seconds late (usually negative: early).
-        Stored as a compact run; expanded only when a series is read.
-        """
-        if n <= 0:
-            raise ValueError(f"ramp length must be positive: {n}")
-        self._ramps.append((first_late, step, n))
-        self._count += n
         self._materialized = None
 
     def reset(self) -> None:
         """Drop all accumulated samples (experiment warm-up boundary)."""
         self._singles.clear()
-        self._ramps.clear()
-        self._count = 0
         self._materialized = None
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._singles)
 
     def _samples(self) -> np.ndarray:
-        """Materialize every sample (singles + expanded ramps), cached."""
+        """Materialize every sample as one float array, cached."""
         if self._materialized is None:
-            parts = []
-            if self._singles:
-                parts.append(np.asarray(self._singles, dtype=float))
-            for first, step, n in self._ramps:
-                parts.append(first + step * np.arange(n, dtype=float))
-            if parts:
-                self._materialized = np.concatenate(parts)
-            else:
-                self._materialized = np.empty(0, dtype=float)
+            self._materialized = np.asarray(self._singles, dtype=float)
         return self._materialized
 
     @property

@@ -35,7 +35,7 @@ class CounterProbe:
 
     Accumulation is lazy (DESIGN.md §13): each wakeup appends three floats
     to flat arrays; the :class:`Sample` series is materialized only when
-    read, so a probe ticking through a city-scale run costs no per-window
+    read, so a probe ticking through a long run costs no per-window
     object churn.
     """
 

@@ -86,22 +86,6 @@ class UdpSocket:
             Datagram(self.address, dst, payload, self.host.sim.now)
         )
 
-    def send_many(self, dst: Address, payloads) -> Generator:
-        """Send several datagrams to one destination under one host pass.
-
-        The burst pays the NIC's aggregate send cost once (one CPU hold,
-        see :meth:`NetworkInterface.udp_send_burst`), then each datagram
-        takes the normal per-packet wire tail — loss draws, multicast
-        fan-out and wire delays happen per datagram in list order, so the
-        RNG stream and arrival schedule match ``n`` sequential sends that
-        left the host back to back.
-        """
-        now = self.host.sim.now
-        src = self.address
-        yield from self.host.network.send_burst(
-            [Datagram(src, dst, p, now) for p in payloads]
-        )
-
     def close(self) -> None:
         """Unbind the socket; further arrivals are dropped."""
         self.host.unbind(self.port)
@@ -240,30 +224,6 @@ class Network:
         src_host = self._hosts.get(dgram.src[0])
         if src_host is not None and src_host.nic is not None:
             yield from src_host.nic.udp_send(max(1, len(dgram.payload)))
-        self._launch(dgram)
-
-    def send_burst(self, dgrams) -> Generator:
-        """Carry several datagrams from one source under one host pass.
-
-        The sender's NIC charges the whole burst in a single CPU hold
-        (:meth:`NetworkInterface.udp_send_burst`); the wire tail — loss
-        draws, partition checks, multicast fan-out, per-datagram delays —
-        runs per datagram in list order, preserving the RNG draw sequence
-        of back-to-back :meth:`send` calls.
-        """
-        if not dgrams:
-            return
-        src_host = self._hosts.get(dgrams[0].src[0])
-        if src_host is not None and src_host.nic is not None:
-            yield from src_host.nic.udp_send_burst(
-                [(None, max(1, len(d.payload))) for d in dgrams]
-            )
-        for dgram in dgrams:
-            self._launch(dgram)
-
-    def _launch(self, dgram: Datagram) -> None:
-        """Wire tail shared by ``send`` and ``send_burst``: the datagram
-        has cleared the sender's host path; put it on the wire."""
         self.datagrams_carried += 1
         self.bytes_carried += len(dgram.payload)
         if dgram.src[0] in self._partitioned:

@@ -411,12 +411,6 @@ class Simulator:
         #: Total queue entries executed (the E23 events/sec numerator).
         self.events_executed = 0
         self._timeout_pool: List[Timeout] = []
-        # -- coarsened-pacing contract (DESIGN.md §13) --------------------
-        #: Steady-state pacing loops (MSU IOP, NIC bursts, disk cache
-        #: copies) may batch up to this many per-packet wakeups into one.
-        #: 1 = the reference per-packet schedule; experiments opt in.
-        self.pacing_batch = 1
-        self._decoarsen_until = -float("inf")
 
     @property
     def now(self) -> float:
@@ -427,24 +421,6 @@ class Simulator:
     def active_process(self) -> Optional[Process]:
         """The process currently executing, if any."""
         return self._active_process
-
-    # -- coarsened pacing ------------------------------------------------
-
-    def effective_batch(self) -> int:
-        """The pacing batch currently in force (1 while de-coarsened)."""
-        if self.pacing_batch <= 1 or self._now < self._decoarsen_until:
-            return 1
-        return self.pacing_batch
-
-    def decoarsen(self, hold: float = 1.0) -> None:
-        """Force per-packet pacing for ``hold`` seconds from now.
-
-        Fault injectors and VCR paths call this so coarse batching never
-        blurs the schedule around an interesting instant.
-        """
-        until = self._now + hold
-        if until > self._decoarsen_until:
-            self._decoarsen_until = until
 
     # -- scheduling ------------------------------------------------------
 

@@ -182,16 +182,9 @@ def _scaleout(duration: Optional[float]) -> str:
 
 
 def _city_scale(duration: Optional[float]) -> str:
-    from repro.experiments.city_scale import (
-        format_city_scale,
-        format_engine_bench,
-        run_city_scale,
-        run_engine_bench,
-    )
+    from repro.experiments.city_scale import format_city_scale, run_city_scale
 
-    bench = format_engine_bench(run_engine_bench())
-    city = format_city_scale(run_city_scale(duration=duration or 5.0))
-    return bench + "\n\n" + city
+    return format_city_scale(run_city_scale(duration=duration or 50.0))
 
 
 #: name -> (runner, paper reference)
@@ -220,7 +213,7 @@ EXPERIMENTS: Dict[str, tuple] = {
         _recovery, "§2.2 Coordinator WAL replay + reconciliation (extension)"
     ),
     "city-scale": (
-        _city_scale, "abstract taken to 1000 MSUs / 100k viewers (E23, extension)"
+        _city_scale, "§3.3 Coordinator load at 10/100/1000 fake MSUs (E23, extension)"
     ),
     "coordinator-scaleout": (
         _scaleout,

@@ -271,10 +271,6 @@ class ChaosCluster:
         handler = getattr(self, f"_op_{op.kind}", None)
         if handler is None:
             raise CalliopeError(f"no handler for fault kind {op.kind!r}")
-        # Any injected fault suspends coarsened pacing cluster-wide for a
-        # while (DESIGN.md §13): the interesting dynamics around a fault
-        # must play out on the exact per-packet schedule.
-        self.sim.decoarsen()
         handler(op)
 
     def _live_views(self) -> List[SimpleNamespace]:

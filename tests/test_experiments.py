@@ -93,6 +93,14 @@ class TestScalability:
         scale = 50.0 / result.request_rate
         assert cpu50 == pytest.approx(result.cpu_utilization * scale)
 
+    def test_per_request_cost_independent_of_installation_size(self):
+        # §3.3: shared-resource load tracks the request rate, not the
+        # number of MSUs behind the Coordinator.
+        small = scalability.run_scalability(total_requests=300, n_fake_msus=2)
+        large = scalability.run_scalability(total_requests=300, n_fake_msus=200)
+        assert large.cpu_utilization == small.cpu_utilization
+        assert large.network_utilization == small.network_utilization
+
 
 class TestElevator:
     def test_gain_close_to_paper(self):
