@@ -16,7 +16,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 from repro.core.cluster import CalliopeCluster
 from repro.errors import CalliopeError
 from repro.net import messages as m
-from repro.net.network import ControlChannel, Host, UdpSocket, is_multicast
+from repro.net.network import ControlChannel, Datagram, Host, UdpSocket, is_multicast
 from repro.sim import Event, Simulator
 
 __all__ = ["Client", "PortStats", "GroupView"]
@@ -274,7 +274,7 @@ class Client:
     def register_port(
         self, port_name: str, type_name: str, capture_payloads: bool = False
     ) -> Generator:
-        """Create a socket, register it, and start its receiver.
+        """Create a socket, register it, and account what arrives on it.
 
         ``capture_payloads`` keeps every received payload in the port's
         stats — the software-decoder case, at memory cost.
@@ -305,12 +305,11 @@ class Client:
             module_ports = 1
         if module_ports > 1:
             port.control_socket = self.host.bind(socket.port + 1)
-            self.sim.process(
-                self._receiver(port, control=True),
-                name=f"{self.name}.{port_name}.ctl",
+            port.control_socket.sink = lambda dgram: port.control_stats.note(
+                self.sim.now, len(dgram.payload), dgram.payload
             )
         self.ports[port_name] = port
-        self.sim.process(self._receiver(port), name=f"{self.name}.{port_name}")
+        socket.sink = lambda dgram: self._on_data(port, dgram)
         return port
 
     def register_composite_port(
@@ -338,23 +337,15 @@ class Client:
         if port.control_socket is not None:
             port.control_socket.close()
 
-    def _receiver(self, port: _Port, control: bool = False) -> Generator:
-        socket = port.control_socket if control else port.socket
-        stats = port.control_stats if control else port.stats
-        while True:
-            dgram = yield socket.recv()
-            if dgram is None:
-                return
-            stats.note(self.sim.now, len(dgram.payload), dgram.payload)
-            if not control:
-                # A late joiner receives its patch (unicast) and the
-                # channel (group destination) simultaneously; keep the
-                # flows apart so playback can splice them in order.
-                flow = (
-                    port.channel_stats
-                    if is_multicast(dgram.dst) else port.unicast_stats
-                )
-                flow.note(self.sim.now, len(dgram.payload))
+    def _on_data(self, port: _Port, dgram: Datagram) -> None:
+        """A display port's sink: account one datagram as it arrives."""
+        now, nbytes = self.sim.now, len(dgram.payload)
+        port.stats.note(now, nbytes, dgram.payload)
+        # A late joiner receives its patch (unicast) and the channel (group
+        # destination) simultaneously; keep the flows apart so playback
+        # can splice them in order.
+        flow = port.channel_stats if is_multicast(dgram.dst) else port.unicast_stats
+        flow.note(now, nbytes)
 
     # -- play / record ---------------------------------------------------------------------
 

@@ -62,6 +62,9 @@ class UdpSocket:
         self.dropped = 0
         #: Optional callback invoked on every delivery (e.g. IOP wakeup).
         self.notify: Optional[Callable[[], None]] = None
+        #: Optional consumer of every datagram, called in the arrival's own
+        #: slot instead of filling the mailbox (a client display port).
+        self.sink: Optional[Callable[[Datagram], None]] = None
 
     @property
     def address(self) -> Address:
@@ -267,7 +270,10 @@ class Network:
         sock = host.socket_on(port)
         if sock is None:
             return  # no listener: dropped, as UDP does
-        sock._mailbox.put(dgram)
+        if sock.sink is not None:
+            sock.sink(dgram)
+        else:
+            sock._mailbox.put(dgram)
         sock.received += 1
         if sock.notify is not None:
             sock.notify()
@@ -314,7 +320,7 @@ class ControlChannel:
             self.network.datagrams_carried += 1
         if self.on_message is not None:
             self.on_message(sender, message)
-        self.sim.schedule(self.latency, self._mailboxes[peer].put, message)
+        self.sim.schedule(self.latency, self._mailboxes[peer].deliver, message)
 
     def recv(self, end: str):
         """Event firing with the next message for ``end`` (None = break)."""
@@ -327,4 +333,4 @@ class ControlChannel:
             return
         self.open = False
         for box in self._mailboxes.values():
-            self.sim.schedule(self.latency, box.put, None)
+            self.sim.schedule(self.latency, box.deliver, None)

@@ -318,12 +318,12 @@ class Process(Event):
                 target = self._gen.send(value)
         except StopIteration as stop:
             sim._active_process = prev
-            self.succeed(stop.value)
+            self._finish(stop.value)
             return
         except Interrupt:
             # An un-caught interrupt terminates the process quietly.
             sim._active_process = prev
-            self.succeed(None)
+            self._finish(None)
             return
         except Exception as err:
             sim._active_process = prev
@@ -336,6 +336,20 @@ class Process(Event):
             return
         self._waiting_on = target
         target.add_callback(self._resume)
+
+    def _finish(self, value: Any) -> None:
+        """Succeed with ``value``; with nobody joined yet, fire in place.
+
+        A finished process nobody waits on needs no queue slot: it is
+        marked fired now, and a later ``yield proc`` takes the
+        late-callback path, resuming the joiner at its own instant.
+        """
+        if self.callbacks:
+            self.succeed(value)
+            return
+        self._triggered = True
+        self._value = value
+        self.callbacks = None
 
 
 def AllOf(sim: "Simulator", events: Iterable[Event]) -> Event:

@@ -2,7 +2,8 @@
 
 * :class:`Resource` — a counted FIFO resource (a bus, a CPU, a disk arm).
 * :class:`PriorityResource` — same, but requests carry a priority.
-* :class:`Store` — an unbounded FIFO of items with blocking ``get``.
+* :class:`Store` — an unbounded FIFO of items with blocking ``get``;
+  ``deliver`` hands an item to a blocked getter in the caller's own slot.
 
 Usage inside a process::
 
@@ -198,6 +199,26 @@ class Store:
         """Deposit ``item``, waking the oldest blocked getter if any."""
         if self._getters:
             self._getters.popleft().succeed(item)
+        else:
+            self._items.append(item)
+
+    def deliver(self, item: Any) -> None:
+        """Deposit ``item`` from a scheduled callback, in its own slot.
+
+        Where :meth:`put` triggers the oldest getter and leaves its waiter
+        to a second queue slot, ``deliver`` fires the getter inline, so the
+        waiter resumes inside the delivery's slot.  That is safe only
+        between processes, so calling it from inside one raises.
+        """
+        if self.sim.active_process is not None:
+            raise RuntimeError(
+                f"Store.deliver on {self.name!r} from inside a process; use put()"
+            )
+        if self._getters:
+            getter = self._getters.popleft()
+            getter._triggered = True
+            getter._value = item
+            getter._fire()
         else:
             self._items.append(item)
 

@@ -1,5 +1,7 @@
 """Machine assembly, CPU stall model, memory bus, NIC and timer."""
 
+import math
+
 import pytest
 
 from repro.hardware import Machine, MachineParams, MemoryBus
@@ -182,6 +184,8 @@ class TestNic:
         sim.process(sender())
         sim.run(until=10.0)
         assert to_mbyte_per_s(nic.throughput(10.0)) == pytest.approx(8.5, abs=0.2)
+        assert nic.packets_sent == 20_740
+        assert nic.line_busy_time == pytest.approx(7.1835064, rel=1e-12)
 
     def test_ethernet_line_rate_bounds_throughput(self, sim):
         machine = Machine(sim, MachineParams(disks_per_hba=()))
@@ -194,6 +198,7 @@ class TestNic:
         sim.process(sender())
         sim.run(until=5.0)
         assert nic.throughput(5.0) <= ETHERNET_10.line_rate
+        assert (nic.enobufs_count, nic.packets_sent) == (4_257, 1_490)
 
     def test_enobufs_backoff_counted(self, sim):
         machine = Machine(sim, MachineParams(disks_per_hba=()))
@@ -203,8 +208,9 @@ class TestNic:
             for _ in range(200):
                 yield from nic.udp_send(CBR_PACKET_SIZE)
 
-        run_process(sim, sender())
-        assert nic.enobufs_count > 0
+        sim.process(sender())
+        sim.run(until=1.0)
+        assert (nic.enobufs_count, nic.packets_sent) == (404, 200)
 
     def test_receive_path_counts(self, sim):
         machine = Machine(sim, MachineParams(disks_per_hba=()))
@@ -213,14 +219,52 @@ class TestNic:
         assert nic.packets_received == 1
         assert nic.bytes_received == 1024
 
-    def test_on_transmit_callback(self, sim):
+    def test_back_to_back_frames_depart_at_start_plus_hold(self, sim):
+        """The line serializes frames FIFO: a frame enqueued while the line
+        is busy starts when the one ahead departs, and each departure is
+        its start plus the hold.  The counters move at the departure
+        instant, not before."""
         machine = Machine(sim, MachineParams(disks_per_hba=()))
-        nic = machine.add_nic(FDDI)
-        seen = []
-        nic.on_transmit = lambda payload, n: seen.append((payload, n))
-        run_process(sim, nic.udp_send(512, payload="tag"))
-        sim.run()
-        assert seen == [("tag", 512)]
+        nic = machine.add_nic(ETHERNET_10)  # slow line: frames queue
+        p = ETHERNET_10
+        hold = (CBR_PACKET_SIZE + p.header_bytes) / p.line_rate + p.frame_overhead
+        enqueued = []
+
+        def sender():
+            for _ in range(3):
+                yield from nic.udp_send(CBR_PACKET_SIZE)
+                enqueued.append(sim.now)
+
+        run_process(sim, sender())
+        assert enqueued[2] < enqueued[0] + hold  # all three queued at once
+        departs = [enqueued[0] + hold]
+        for _ in range(2):
+            departs.append(departs[-1] + hold)
+        for sent, depart in enumerate(departs):
+            sim.run(until=math.nextafter(depart, 0.0))
+            assert nic.packets_sent == sent
+            assert nic.line_busy_time == pytest.approx(sent * hold)
+            sim.run(until=depart)
+            assert nic.packets_sent == sent + 1
+            assert nic.line_busy_time == pytest.approx((sent + 1) * hold)
+        assert nic.bytes_sent == 3 * CBR_PACKET_SIZE
+
+    def test_run_without_until_stops_before_the_last_departure(self, sim):
+        """No process drives the line, so a bare ``run()`` ends with the
+        last sender, before the frames queued behind the line have left;
+        counters read after ``run(until=...)`` see every departure."""
+        machine = Machine(sim, MachineParams(disks_per_hba=()))
+        nic = machine.add_nic(ETHERNET_10)
+
+        def sender():
+            for _ in range(200):
+                yield from nic.udp_send(CBR_PACKET_SIZE)
+
+        sim.process(sender())
+        assert sim.run() == pytest.approx(0.5004, abs=1e-4)
+        assert nic.packets_sent == 149
+        sim.run(until=1.0)
+        assert nic.packets_sent == 200
 
     def test_bad_packet_sizes_rejected(self, sim):
         machine = Machine(sim, MachineParams(disks_per_hba=()))

@@ -96,6 +96,21 @@ class TestDelivery:
         sim.run()
         assert len(pings) == 1
 
+    def test_sink_takes_datagram_in_the_arrival_slot(self, sim):
+        net = Network(sim, latency=0.25)
+        a = Host(sim, net, "a")
+        b = Host(sim, net, "b")
+        sa = a.bind(1000)
+        sb = b.bind(2000)
+        got = []
+        sb.sink = lambda dgram: got.append((sim.now, dgram.payload))
+        run_process(sim, sa.send(("b", 2000), b"ping"))
+        before = sim.events_executed
+        sim.run()
+        assert got == [(0.25, b"ping")]
+        assert sim.events_executed - before == 1  # the wire arrival only
+        assert sb.pending() == 0 and sb.received == 1
+
     def test_jitter_bounded(self):
         sim = Simulator()
         net = Network(sim, latency=0.01, jitter=0.005, seed=3)
@@ -147,6 +162,19 @@ class TestControlChannel:
         chan.close()
         sim.run()
         assert px.value is None and py.value is None
+
+    def test_message_to_blocked_reader_costs_one_event(self, sim):
+        chan = ControlChannel(sim, "x", "y", latency=0.001)
+
+        def read_one():
+            return (yield chan.recv("y"))
+
+        reader = sim.process(read_one())
+        sim.run()
+        before = sim.events_executed
+        chan.send("x", "m")
+        sim.run()
+        assert reader.value == "m" and sim.events_executed - before == 1
 
     def test_send_after_close_vanishes(self, sim):
         chan = ControlChannel(sim, "x", "y", latency=0.001)

@@ -173,6 +173,32 @@ class TestProcess:
         sim.run()
         assert not p.is_alive
 
+    def test_finished_unjoined_process_takes_no_queue_slot(self, sim):
+        def proc():
+            yield sim.timeout(1.0)
+            return "done"
+
+        p = sim.process(proc())
+        sim.run()
+        assert sim.events_executed == 2  # the start and the timeout only
+        assert p.triggered and p.value == "done"
+
+    def test_late_joiners_of_finished_process_resume_at_their_instant(self, sim):
+        def child():
+            yield sim.timeout(1.0)
+            return 99
+
+        p = sim.process(child())
+        sim.run(until=2.0)
+
+        def joiner():
+            value = yield p
+            values = yield AllOf(sim, [p])
+            return (sim.now, value, values)
+
+        assert run_process(sim, joiner()) == (2.0, 99, [99])
+        assert sim.run_until_event(p) == 99
+
 
 class TestInterrupt:
     def test_interrupt_waiting_process(self, sim):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.sim import Interrupt, PriorityResource, Resource, Simulator, Store
 from tests.conftest import run_process
+from tests.test_sim_engine import SCHEDULERS
 
 
 class TestResource:
@@ -224,6 +225,69 @@ class TestStore:
         store.put(1)
         store.put(2)
         assert len(store) == 2
+
+
+class TestStoreDeliver:
+    """``Store.deliver``: a scheduled arrival resumes its getter in place."""
+
+    @pytest.fixture(params=sorted(SCHEDULERS))
+    def sim(self, request) -> Simulator:
+        s = Simulator()
+        s._sched = SCHEDULERS[request.param]()
+        return s
+
+    @pytest.mark.parametrize("method, events", [("put", 2), ("deliver", 1)])
+    def test_resumes_blocked_getter_at_the_same_instant(self, sim, method, events):
+        store = Store(sim)
+        got = []
+
+        def reader():
+            got.append(((yield store.get()), sim.now))
+
+        sim.process(reader())
+        sim.run()
+        before = sim.events_executed
+        sim.schedule(1.0, getattr(store, method), "x")
+        sim.run()
+        assert got == [("x", 1.0)]
+        assert sim.events_executed - before == events
+
+    def test_queues_item_when_no_getter_waits(self, sim):
+        store = Store(sim)
+        sim.schedule(1.0, store.deliver, "x")
+        sim.run()
+        assert len(store) == 1
+        assert store.get().value == "x"
+
+    def test_skips_getter_withdrawn_by_interrupt(self, sim):
+        store = Store(sim)
+        log = []
+
+        def getter(tag):
+            try:
+                item = yield store.get()
+            except Interrupt:
+                log.append((tag, "interrupted", sim.now))
+            else:
+                log.append((tag, item, sim.now))
+
+        first = sim.process(getter("a"))
+        sim.schedule(0.1, first.interrupt)
+        sim.schedule(0.2, sim.process, getter("b"))
+        sim.schedule(0.3, store.deliver, "x")
+        sim.run()
+        assert log == [("a", "interrupted", 0.1), ("b", "x", 0.3)]
+        assert not store._getters and len(store) == 0
+
+    def test_raises_inside_a_process(self, sim):
+        store = Store(sim)
+
+        def producer():
+            yield sim.timeout(0.1)
+            store.deliver("x")
+
+        with pytest.raises(RuntimeError, match="inside a process"):
+            run_process(sim, producer())
 
 
 class TestResourceProperties:
