@@ -128,7 +128,7 @@ class Client:
         # answer out of order, §2.2).
         self._pending_rpcs: Dict[int, Event] = {}
         self._next_rpc = 1
-        self.sim.process(self._dispatch_replies(), name=f"{name}.rpc")
+        self.sim.process(self._route_replies(), name=f"{name}.rpc")
 
     # -- RPC plumbing ---------------------------------------------------------
 
@@ -136,7 +136,7 @@ class Client:
         self._next_rpc += 1
         return self._next_rpc
 
-    def _dispatch_replies(self) -> Generator:
+    def _route_replies(self) -> Generator:
         while True:
             reply = yield self.channel.recv(self.name)
             if reply is None:

@@ -15,13 +15,12 @@ experiment the paper reports.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from typing import TYPE_CHECKING, Generator
 
 import numpy as np
 
 from repro.hardware.params import DiskParams
-from repro.sim import Event, Simulator
+from repro.sim import Resource, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.machine import Machine
@@ -38,13 +37,35 @@ class SeekPolicy(enum.Enum):
     SSTF = "sstf"
 
 
-class _Request:
-    __slots__ = ("cylinder", "grant", "seq")
+class _Arm(Resource):
+    """The drive's actuator: one holder, waiters picked by the seek policy.
 
-    def __init__(self, cylinder: int, grant: Event, seq: int):
-        self.cylinder = cylinder
-        self.grant = grant
-        self.seq = seq
+    A request's ``priority`` is its target cylinder.  The waiters are in
+    arrival order and ``min`` returns the first minimum, so SSTF and
+    elevator ties go to the earliest arrival.
+    """
+
+    def __init__(self, drive: "DiskDrive"):
+        super().__init__(drive.sim, name=f"{drive.name}.arm")
+        self.drive = drive
+        self.direction = 1  # elevator scan direction
+
+    def _pop_next(self):
+        waiters = self._waiters
+        policy = self.drive.policy
+        if policy is SeekPolicy.FCFS:
+            return waiters.popleft()
+        head = self.drive.head_cylinder
+        candidates = waiters
+        if policy is SeekPolicy.ELEVATOR:
+            # Continue in the current direction, else reverse.
+            candidates = [r for r in waiters if (r.priority - head) * self.direction >= 0]
+            if not candidates:
+                self.direction = -self.direction
+                candidates = waiters
+        best = min(candidates, key=lambda r: abs(r.priority - head))
+        waiters.remove(best)
+        return best
 
 
 class DiskDrive:
@@ -67,12 +88,9 @@ class DiskDrive:
         self.machine = machine
         self.policy = policy
         self._rng = np.random.default_rng(seed)
-        self._pending: deque = deque()
-        self._seq = 0
-        self._arm_busy = False
+        self._arm = _Arm(self)
         self.busy = False  # command in flight (incl. queued bursts)
         self.head_cylinder = int(self._rng.integers(0, params.cylinders))
-        self._direction = 1  # elevator scan direction
         # statistics
         self.bytes_transferred = 0
         self.requests_served = 0
@@ -103,33 +121,6 @@ class DiskDrive:
         frac = min(1.0, distance / p.cylinders)
         return p.seek_min + p.seek_max_extra * (frac**0.5)
 
-    # -- queueing ---------------------------------------------------------
-
-    def _pick_next(self) -> _Request:
-        if self.policy is SeekPolicy.FCFS:
-            return self._pending.popleft()
-        if self.policy is SeekPolicy.SSTF:
-            best = min(self._pending, key=lambda r: (abs(r.cylinder - self.head_cylinder), r.seq))
-        else:  # ELEVATOR: continue in current direction, else reverse
-            ahead = [
-                r
-                for r in self._pending
-                if (r.cylinder - self.head_cylinder) * self._direction >= 0
-            ]
-            if not ahead:
-                self._direction = -self._direction
-                ahead = list(self._pending)
-            best = min(ahead, key=lambda r: (abs(r.cylinder - self.head_cylinder), r.seq))
-        self._pending.remove(best)
-        return best
-
-    def _dispatch(self) -> None:
-        if self._arm_busy or not self._pending:
-            return
-        self._arm_busy = True
-        nxt = self._pick_next()
-        nxt.grant.succeed()
-
     # -- the transfer itself ----------------------------------------------
 
     def transfer(self, offset: int, nbytes: int, write: bool = False) -> Generator:
@@ -141,25 +132,23 @@ class DiskDrive:
         if nbytes <= 0:
             raise ValueError(f"{self.name}: non-positive transfer size {nbytes}")
         target = self.cylinder_of(offset)
-        self._seq += 1
-        grant = Event(self.sim, name=f"{self.name}.grant")
-        request = _Request(target, grant, self._seq)
-        self._pending.append(request)
-        self._dispatch()
+        # A queued request even when the arm is idle, not claim()'s inline
+        # grant: the transfer reads chain and command state, so resuming
+        # ahead of the same instant's other entries moves results (cbr22's
+        # late_ms_hi, DESIGN 13.5).
+        req = self._arm.request(target)
         try:
-            yield grant
-        except BaseException:
-            # The owning process died waiting here (an MSU crash interrupts
-            # its disk process mid-request).  Retract the request — or, if
-            # the arm was already granted to us, free it and dispatch the
-            # next waiter — so an abandoned grant cannot wedge the drive.
-            if grant.triggered:
-                self._arm_busy = False
-                self._dispatch()
-            else:
-                self._pending.remove(request)
-            raise
+            yield req
+            yield from self._serve(target, nbytes, write)
+        finally:
+            # Also on an interrupt (an MSU crash): withdraws a queued
+            # request, or hands on a grant whose owner is gone.
+            self._arm.release(req)
+        self.bytes_transferred += nbytes
+        self.requests_served += 1
 
+    def _serve(self, target: int, nbytes: int, write: bool) -> Generator:
+        """Position the head and move the data; the caller holds the arm."""
         start = self.sim.now
         sharing = sum(1 for d in self.hba_siblings() if d.busy)
         self.busy = True
@@ -173,18 +162,9 @@ class DiskDrive:
             self.total_seek_distance += distance
             self.head_cylinder = target
 
-            # Chain command overhead (selection, messaging).  The grant
-            # wait sits inside the try so an interrupt landing there still
-            # releases (= cancels) the bus claim.
+            # Chain command overhead (selection, messaging).
             chain = self.hba.bus
-            req = chain.try_acquire()
-            try:
-                if req is None:
-                    req = chain.request()
-                    yield req
-                yield self.sim.timeout(self.hba.params.command_overhead)
-            finally:
-                chain.release(req)
+            yield from chain.hold(self.hba.params.command_overhead)
 
             # Media-paced transfer, bursting chain+memory chunk by chunk.
             memory = self.machine.memory if self.machine is not None else None
@@ -196,11 +176,8 @@ class DiskDrive:
                 bus_t = step / self.hba.params.burst_rate
                 if media_t > bus_t:
                     yield self.sim.timeout(media_t - bus_t)
-                req = chain.try_acquire()
+                req = yield from chain.claim()
                 try:
-                    if req is None:
-                        req = chain.request()
-                        yield req
                     t0 = self.sim.now
                     if memory is not None:
                         mover = memory.dma_read(step) if write else memory.dma_write(step)
@@ -221,10 +198,6 @@ class DiskDrive:
             self.busy = False
             self.hba.command_end()
             self.busy_time += self.sim.now - start
-            self._arm_busy = False
-            self._dispatch()
-        self.bytes_transferred += nbytes
-        self.requests_served += 1
 
     def hba_siblings(self) -> list:
         """Other disks sharing this drive's SCSI chain."""

@@ -27,11 +27,6 @@ class MemoryBus:
         self.bytes_moved = 0
         self.busy_time = 0.0
 
-    @property
-    def utilization_clock(self) -> float:
-        """Total bus-held seconds so far (divide by elapsed for utilization)."""
-        return self.busy_time
-
     def _transfer(self, nbytes: int, rate: float) -> Generator:
         """Move ``nbytes`` at ``rate``, holding the bus one chunk at a time."""
         if nbytes < 0:
@@ -42,14 +37,7 @@ class MemoryBus:
         while remaining > 0:
             step = min(chunk, remaining)
             hold = step / rate
-            req = bus.try_acquire()
-            try:
-                if req is None:
-                    req = bus.request()
-                    yield req
-                yield self.sim.timeout(hold)
-            finally:
-                bus.release(req)
+            yield from bus.hold(hold)
             self.busy_time += hold
             self.bytes_moved += step
             remaining -= step

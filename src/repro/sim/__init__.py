@@ -9,7 +9,7 @@ provides a small, SimPy-like coroutine scheduler:
 * :class:`~repro.sim.engine.Event` / :class:`~repro.sim.engine.Timeout` —
   waitable primitives a process may ``yield``.
 * :class:`~repro.sim.resources.Resource` / :class:`~repro.sim.resources.Store`
-  — FIFO contention primitives used to model buses, CPUs and queues.
+  — contention primitives used to model buses, CPUs, disk arms and queues.
 
 The kernel is fully deterministic: simultaneous events fire in the order in
 which they were scheduled (ties break on a monotone sequence number), and no
@@ -26,7 +26,7 @@ from repro.sim.engine import (
     Simulator,
     Timeout,
 )
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.resources import Resource, Store
 
 __all__ = [
     "AllOf",
@@ -34,7 +34,6 @@ __all__ = [
     "Event",
     "HeapScheduler",
     "Interrupt",
-    "PriorityResource",
     "Process",
     "Resource",
     "Simulator",

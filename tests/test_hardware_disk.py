@@ -7,12 +7,21 @@ from repro.hardware.params import DiskParams
 from repro.sim import Simulator
 from repro.units import BLOCK_SIZE, to_mbyte_per_s
 from tests.conftest import run_process
+from tests.test_hardware_machine import _assert_interrupted_claim_frees
 
 
 def make_disk(sim, policy=SeekPolicy.FCFS, params=DiskParams()):
     machine = Machine(sim, MachineParams(disks_per_hba=(1,), disk=params),
                       disk_policy=policy)
     return machine.disks[0], machine
+
+
+def offset_of(disk, cylinder):
+    """The first byte offset on ``cylinder``."""
+    p = disk.params
+    offset = -(-cylinder * p.capacity_bytes // p.cylinders)
+    assert disk.cylinder_of(offset) == cylinder
+    return offset
 
 
 class TestGeometry:
@@ -123,6 +132,60 @@ class TestPolicies:
         fcfs = self._run_many(SeekPolicy.FCFS)
         sstf = self._run_many(SeekPolicy.SSTF)
         assert sstf.bytes_transferred >= fcfs.bytes_transferred
+
+    @pytest.mark.parametrize("policy, order", [
+        (SeekPolicy.FCFS, [1300, 1200, 800, 700, 2000]),
+        # Idle grant at 1000 from the head at 2500 turns the scan downward.
+        (SeekPolicy.ELEVATOR, [800, 700, 1200, 1300, 2000]),
+        # 1200 and 800 tie at distance 200 from 1000: the earlier arrival wins.
+        (SeekPolicy.SSTF, [1200, 1300, 800, 700, 2000]),
+    ])
+    def test_service_order_behind_a_busy_arm(self, sim, policy, order):
+        """Five requests queue behind one at cylinder 1000; the policy
+        alone decides the order they are served in."""
+        disk, _ = make_disk(sim, policy=policy)
+        disk.head_cylinder = 2500
+        served = []
+
+        def reader(cylinder):
+            yield from disk.transfer(offset_of(disk, cylinder), BLOCK_SIZE)
+            served.append(cylinder)
+
+        for cylinder in [1000, 1300, 1200, 800, 700, 2000]:
+            sim.process(reader(cylinder))
+        sim.run()
+        assert served == [1000] + order
+
+
+class TestInterruptedClaims:
+    """An MSU crash interrupts a disk process queued at the arm or the chain."""
+
+    def test_queued_transfer_withdrawn_from_arm(self, sim):
+        disk, _ = make_disk(sim)
+        _assert_interrupted_claim_frees(
+            sim, disk._arm, lambda: disk.transfer(0, BLOCK_SIZE)
+        )
+
+    def test_transfer_interrupted_after_arm_grant_posted(self, sim):
+        """The interrupt is delivered at the holder's release instant, after
+        the arm's grant to the queued transfer is posted and before that
+        transfer resumes: the grant passes on instead of wedging the drive."""
+        disk, _ = make_disk(sim)
+        _assert_interrupted_claim_frees(
+            sim, disk._arm, lambda: disk.transfer(0, BLOCK_SIZE),
+            first=lambda: disk._arm.hold(0.01), at=0.01,
+        )
+
+    def test_transfer_queued_on_chain_behind_sibling(self, sim):
+        """A sibling disk's chain hold blocks the transfer's command phase."""
+        machine = Machine(sim, MachineParams(disks_per_hba=(2,)))
+        disk = machine.disks[1]
+        _assert_interrupted_claim_frees(
+            sim, machine.hbas[0].bus, lambda: disk.transfer(0, BLOCK_SIZE),
+            first=lambda: machine.hbas[0].bus.hold(0.5), at=0.25,
+        )
+        assert disk.requests_served == 1
+        assert (disk._arm.in_use, disk._arm.queue_length) == (0, 0)
 
 
 class TestChainSharing:

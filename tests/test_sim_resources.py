@@ -1,10 +1,10 @@
-"""Unit and property tests for Resource, PriorityResource and Store."""
+"""Unit and property tests for Resource and Store."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Interrupt, PriorityResource, Resource, Simulator, Store
+from repro.sim import Interrupt, Resource, Simulator, Store
 from tests.conftest import run_process
 from tests.test_sim_engine import SCHEDULERS
 
@@ -69,76 +69,49 @@ class TestResource:
         assert sim.now == 5.0
 
 
-class TestPriorityResource:
-    def test_lowest_priority_first(self, sim):
-        res = PriorityResource(sim, capacity=1)
-        holder = res.request()
-        order = []
-        reqs = []
-        for prio in [5.0, 1.0, 3.0]:
-            req = res.request(priority=prio)
-            req.add_callback(lambda e, p=prio: order.append(p))
-            reqs.append(req)
-        res.release(holder)
-        sim.run()
-        for _ in range(3):
-            granted = next(r for r in reqs if r.triggered and r in res._holders)
-            res.release(granted)
-            sim.run()
-        assert order == [1.0, 3.0, 5.0]
-
-    def test_tie_breaks_fifo(self, sim):
-        res = PriorityResource(sim, capacity=1)
-        holder = res.request()
-        order = []
-        a = res.request(priority=1.0)
-        b = res.request(priority=1.0)
-        a.add_callback(lambda e: order.append("a"))
-        b.add_callback(lambda e: order.append("b"))
-        res.release(holder)
-        sim.run()
-        res.release(a)
-        sim.run()
-        assert order == ["a", "b"]
-
-    def test_cancel_waiting(self, sim):
-        res = PriorityResource(sim, capacity=1)
-        holder = res.request()
-        waiter = res.request(priority=2.0)
-        res.release(waiter)
-        assert res.queue_length == 0
-        res.release(holder)
+def _claim_idle(res: Resource):
+    """Run ``res.claim()``, which must return without yielding; its request."""
+    with pytest.raises(StopIteration) as stop:
+        next(res.claim())
+    return stop.value.value
 
 
-@pytest.mark.parametrize("kind", [Resource, PriorityResource])
+@pytest.mark.parametrize("kind", [Resource])
 class TestTryAcquire:
+    """``claim()``'s inline grant: an idle unit is taken without waiting."""
+
     def test_grants_idle_resource_without_scheduling(self, sim, kind):
         res = kind(sim, capacity=2)
-        req = res.try_acquire()
-        assert req is not None and req.ok and req.value is req
+        req = _claim_idle(res)
+        assert req.ok and req.value is req
         assert res.in_use == 1 and res.queue_length == 0
         assert sim.peek() == float("inf")  # no queue entry behind the grant
         sim.run()
         assert sim.events_executed == 0
 
     def test_refuses_while_held_or_queued(self, sim, kind):
+        """A claim waits while the unit is held, and also once the freed
+        unit has passed to a queued claim that has not resumed yet."""
         res = kind(sim, capacity=1)
         holder = res.request()
-        assert res.try_acquire() is None
-        waiter = res.request()
-        assert res.try_acquire() is None
-        res.release(holder)  # the unit passes straight to the waiter
-        assert res.try_acquire() is None
-        res.release(waiter)
-        assert res.try_acquire() is not None
+        waiting = res.claim()
+        queued = next(waiting)
+        assert not queued.triggered
+        res.release(holder)  # the unit passes straight to the queued claim
+        late = res.claim()
+        assert not next(late).triggered
+        assert (res.in_use, res.queue_length) == (1, 1)
+        late.close()  # withdraws its queued request
+        waiting.close()  # releases the unit it was granted
+        assert (res.in_use, res.queue_length) == (0, 0)
+        assert _claim_idle(res).ok
 
     def test_releasing_inline_grant_wakes_next_waiter(self, sim, kind):
         res = kind(sim, capacity=1)
-        inline = res.try_acquire()
+        inline = _claim_idle(res)
 
         def waiter():
-            req = res.request()
-            yield req
+            req = yield from res.claim()
             res.release(req)
             return sim.now
 
@@ -153,7 +126,7 @@ class TestTryAcquire:
 
         def mistaken():
             yield sim.timeout(1.5)
-            req = res.try_acquire()
+            req = yield from res.claim()
             got = yield req  # not needed, but must not wedge
             assert got is req
             res.release(req)
@@ -161,6 +134,70 @@ class TestTryAcquire:
 
         assert run_process(sim, mistaken()) == 1.5
         assert res.in_use == 0
+
+
+class TestClaim:
+    def test_idle_hold_executes_one_event(self, sim):
+        """An idle ``hold(t)`` costs its timeout and no grant event."""
+        res = Resource(sim)
+        hold = res.hold(0.5)
+        timeout = next(hold)
+        assert res.in_use == 1
+        sim.run()
+        assert (sim.events_executed, sim.now) == (1, 0.5)
+        with pytest.raises(StopIteration):
+            hold.send(timeout.value)
+        assert res.in_use == 0
+
+    def test_interrupted_while_queued_withdraws(self, sim):
+        res = Resource(sim)
+        log = []
+
+        def claimant(tag):
+            try:
+                yield from res.hold(1.0)
+            except Interrupt:
+                log.append((tag, "interrupted", sim.now))
+            else:
+                log.append((tag, sim.now))
+
+        sim.process(claimant("a"))
+        b = sim.process(claimant("b"))
+        sim.process(claimant("c"))
+        sim.schedule(0.5, b.interrupt)
+        sim.run()
+        assert log == [("b", "interrupted", 0.5), ("a", 1.0), ("c", 2.0)]
+        assert (res.in_use, res.queue_length) == (0, 0)
+
+    def test_interrupted_after_grant_posted_hands_unit_on(self, sim):
+        """The holder interrupts the queued claimant and then releases, so
+        the grant is posted before the interrupt is delivered: the claimant
+        is interrupted holding a unit it never resumed with, and passes it
+        on to the next waiter."""
+        res = Resource(sim)
+        log = []
+
+        def holder():
+            req = yield from res.claim()
+            yield sim.timeout(1.0)
+            doomed.interrupt("crash")
+            res.release(req)
+
+        def claimant(tag):
+            try:
+                req = yield from res.claim()
+            except Interrupt:
+                log.append((tag, "interrupted", sim.now))
+                return
+            log.append((tag, sim.now))
+            res.release(req)
+
+        sim.process(holder())
+        doomed = sim.process(claimant("b"))
+        sim.process(claimant("c"))
+        sim.run()
+        assert log == [("b", "interrupted", 1.0), ("c", 1.0)]
+        assert (res.in_use, res.queue_length) == (0, 0)
 
 
 class TestStore:
@@ -329,8 +366,8 @@ class TestResourceProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_inline_grants_keep_every_grant_time(self, holds, capacity):
-        """The try_acquire idiom grants each claim at the same instant as a
-        plain queued request (ties included); it only drops grant events."""
+        """``claim()`` grants each claim at the same instant as a plain
+        queued request (ties included); it only drops grant events."""
 
         def run(inline: bool):
             sim = Simulator()
@@ -339,8 +376,9 @@ class TestResourceProperties:
 
             def worker(i, duration, start_slot):
                 yield sim.timeout(start_slot * 0.1)
-                req = res.try_acquire() if inline else None
-                if req is None:
+                if inline:
+                    req = yield from res.claim()
+                else:
                     req = res.request()
                     yield req
                 start = sim.now

@@ -166,7 +166,7 @@ class TestCliVerify:
 #:           resume() only acts on PAUSED streams).
 #: seed 24 - an MSU crash interrupted a disk process parked at the drive
 #:           arm's grant wait; the granted request's owner was gone, so
-#:           _arm_busy stayed True and every later transfer on the drive
+#:           the arm stayed marked busy and every later transfer on the drive
 #:           queued forever (fix: transfer() retracts or releases the
 #:           grant when interrupted there).
 PINNED_PLANS = {
