@@ -28,7 +28,7 @@ from repro.core.msu.streams import (
     StreamState,
 )
 from repro.core.msu.vcr import seek_stream, switch_variant
-from repro.errors import StorageError
+from repro.errors import StorageError, VCRError
 from repro.hardware.machine import Machine
 from repro.hardware.params import FDDI, MachineParams
 from repro.net import messages as m
@@ -942,6 +942,9 @@ class Msu:
     # -- VCR handling --------------------------------------------------------------
 
     def _vcr_loop(self, group: GroupState) -> Generator:
+        # Commands apply one at a time in arrival order, as they would off
+        # a TCP connection: a QUIT landing in the same instant as a PLAY
+        # must not overtake it, and a seek finishes before what follows.
         while True:
             msg = yield group.channel.recv(self.name)
             if msg is None:
@@ -951,7 +954,12 @@ class Msu:
             if msg.command == m.VCR_QUIT:
                 self._quit_group(group)
                 return
-            self.sim.process(self._apply_vcr(group, msg), name="vcr")
+            try:
+                yield from self._apply_vcr(group, msg)
+            except VCRError as err:
+                # One bad command (a scan with no companion file) fails
+                # alone; the connection keeps serving the group.
+                self._trace("vcr-error", f"group={group.group_id}", str(err))
 
     def _apply_vcr(self, group: GroupState, msg: m.VcrCommand) -> Generator:
         now = self.sim.now

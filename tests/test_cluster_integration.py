@@ -5,6 +5,7 @@ import pytest
 from repro.clients import Client
 from repro.core import CalliopeCluster, ClusterConfig
 from repro.media import MpegEncoder, NvEncoder, VatEncoder, packetize_cbr
+from repro.metrics import Tracer
 from repro.net import messages as m
 from repro.net.rtp import RtpHeader
 from repro.net.vat import VatHeader
@@ -151,6 +152,39 @@ class TestVcrIntegration:
             client.quit(view.group_id)
 
         drive(sim, scenario())
+
+    def test_failing_command_does_not_stop_later_ones(self):
+        """Commands apply in arrival order; one that raises (a scan with
+        no companion file) fails alone, and a QUIT after it still ends
+        the group."""
+        sim, cluster = build()
+        packets, _ = mpeg_packets(30.0)
+        cluster.load_content("movie", "mpeg1", packets)
+        msu = cluster.msus[0]
+        msu.tracer = Tracer(lambda: sim.now)
+        client = Client(sim, cluster, "c0")
+
+        def scenario():
+            yield from client.open_session("user")
+            yield from client.register_port("tv", "mpeg1")
+            view = yield from client.play("movie", "tv")
+            yield from client.wait_ready(view)
+            yield sim.timeout(1.0)
+            client.vcr(view.group_id, m.VCR_FAST_FORWARD)
+            client.vcr(view.group_id, m.VCR_PAUSE)
+            client.quit(view.group_id)
+            yield sim.timeout(0.5)
+
+        drive(sim, scenario())
+        applied = [
+            e.category if e.category == "vcr-error" else e.detail
+            for e in msu.tracer.events if e.category.startswith("vcr")
+        ]
+        assert applied == [
+            m.VCR_FAST_FORWARD, "vcr-error", m.VCR_PAUSE, "quit"
+        ]
+        assert not msu.groups and not msu.iop.play_streams
+        assert not cluster.coordinator.groups
 
     def test_quit_frees_coordinator_resources(self):
         sim, cluster = build()
