@@ -24,7 +24,8 @@ from repro.units import BLOCK_SIZE, MPEG1_RATE
 
 __all__ = [
     "SMALL", "FAST", "MCAST", "make_packets", "build_cluster",
-    "open_client", "start_stream", "start_viewer", "beat_until",
+    "open_client", "start_stream", "start_viewer", "start_viewers_together",
+    "beat_until",
     "build_admission_db",
 ]
 
@@ -118,6 +119,23 @@ def start_stream(sim, client, title, port):
 
 #: The multicast tests call the same bringup a "viewer".
 start_viewer = start_stream
+
+
+def start_viewers_together(sim, requests):
+    """Start several (client, title, port) viewers in the same instant,
+    so their requests land in one batch window."""
+
+    def scenario(client, title, port):
+        yield from client.register_port(port, "mpeg1")
+        view = yield from client.play(title, port)
+        yield from client.wait_ready(view)
+        return view
+
+    procs = [
+        sim.process(scenario(client, title, port))
+        for client, title, port in requests
+    ]
+    return [sim.run_until_event(proc, limit=30.0) for proc in procs]
 
 
 def beat_until(sim, monitor, msu_name, stop, period=0.1, positions=()):

@@ -17,10 +17,12 @@ The runs:
 
 Each run covers at most 10 simulated seconds.
 
-The other half of that contract is cost: an event budget caps the kernel
-events spent per packet on Graph 1's rig.  Event counts are deterministic,
-so the check is exact, and a change that brings back the scheduled grants
-of idle resources fails here and not only on the benchmark.
+The other half of that contract is cost: event budgets cap the kernel
+events spent per packet on Graph 1's rig and per delivered copy on a
+multicast channel.  Event counts are deterministic, so the checks are
+exact, and a change that brings back the scheduled grants of idle
+resources, or one arrival entry per group member, fails here and not
+only on the benchmark.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ from repro.experiments.recording import _cbr_source
 from repro.media.mpeg import MpegEncoder, packetize_cbr
 from repro.metrics.lateness import LatenessCollector
 from repro.units import CBR_PACKET_SIZE, MPEG1_RATE
+from tests.helpers import (
+    MCAST, build_cluster, open_client, start_viewers_together,
+)
 
 #: Measured window after the streams finish buffering (~2 sim-s).
 WINDOW = 7.5
@@ -165,3 +170,27 @@ def test_graph1_22_streams_event_budget():
     events, sent = sim.events_executed - events0, iop.packets_sent - sent0
     assert sent > 2000
     assert events / sent <= 7.5
+
+
+def test_multicast_fanout_event_budget():
+    """Kernel events per delivered copy on one channel with 20 viewers.
+
+    It reads 0.39: a send costs about 7.8 events on the MSU path plus one
+    arrival entry for the whole group, shared by 20 copies.  With one
+    arrival entry per member it read 1.34, so 0.45 fails if per-copy
+    entries come back.
+    """
+    sim, cluster, _ = build_cluster(
+        n_msus=1, disks_per_hba=(1,), seed=7, length=10.0,
+        multicast=MCAST, n_titles=1, run_to=0.01,
+    )
+    clients = [open_client(sim, cluster, f"c{i}") for i in range(20)]
+    start_viewers_together(sim, [(c, "title0", "tv") for c in clients])
+    assert cluster.coordinator.channel_manager.channels_created == 1
+    net = cluster.delivery_net
+    events0, copies0 = sim.events_executed, net.multicast_copies
+    sim.run(until=sim.now + 3.0)
+    events = sim.events_executed - events0
+    copies = net.multicast_copies - copies0
+    assert copies > 20 * 500
+    assert events / copies <= 0.45

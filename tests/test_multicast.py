@@ -12,7 +12,9 @@ from repro.net.network import Host, Network, is_multicast
 from repro.sim import Simulator
 from repro.units import MPEG1_RATE
 
-from tests.helpers import MCAST, build_cluster, open_client, start_viewer
+from tests.helpers import (
+    MCAST, build_cluster, open_client, start_viewer, start_viewers_together,
+)
 
 
 def build(length=10.0, multicast=MCAST, n_titles=1, seed=7):
@@ -21,23 +23,6 @@ def build(length=10.0, multicast=MCAST, n_titles=1, seed=7):
         multicast=multicast, n_titles=n_titles, run_to=0.01,
     )
     return sim, cluster
-
-
-def start_viewers_together(sim, requests):
-    """Start several (client, title, port) viewers in the same instant,
-    so their requests land in one batch window."""
-
-    def scenario(client, title, port):
-        yield from client.register_port(port, "mpeg1")
-        view = yield from client.play(title, port)
-        yield from client.wait_ready(view)
-        return view
-
-    procs = [
-        sim.process(scenario(client, title, port))
-        for client, title, port in requests
-    ]
-    return [sim.run_until_event(proc, limit=30.0) for proc in procs]
 
 
 class TestAdmissionLedger:

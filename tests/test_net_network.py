@@ -135,6 +135,66 @@ class TestDelivery:
         assert all(0.01 <= t <= 0.015 + 1e-9 for t in arrivals)
 
 
+def fanout_group(sim, net, names, record):
+    """Bind one sink per host in ``names`` and join them to ``mcast:ch``."""
+    for name in names:
+        sock = Host(sim, net, name).bind(2000)
+        sock.sink = lambda dgram, name=name: record(name, dgram)
+        net.join_group("mcast:ch", sock.address)
+
+
+class TestMulticastFanout:
+    def test_unjittered_send_is_one_arrival_entry(self, sim):
+        net = Network(sim, latency=0.25)
+        sa = Host(sim, net, "a").bind(1000)
+        got = []
+        fanout_group(sim, net, ("m3", "m0", "m4", "m1", "m2"),
+                     lambda name, dgram: got.append((name, sim.now)))
+        run_process(sim, sa.send(("mcast:ch", 0), b"x"))
+        before = sim.events_executed
+        sim.run()
+        assert sim.events_executed - before == 1
+        order = [host for host, _port in net.group_members("mcast:ch")]
+        assert got == [(name, 0.25) for name in order]
+        assert net.multicast_copies == 5 and net.multicast_carried == 1
+
+    def test_jittered_arrival_times_are_pinned(self, sim):
+        """Each member's delay is drawn in member order, as when every
+        copy was its own queue entry; these are that engine's times."""
+        net = Network(sim, latency=0.01, jitter=0.005, seed=3)
+        sa = Host(sim, net, "a").bind(1000)
+        got = []
+        fanout_group(sim, net, ("m2", "m0", "m1"),
+                     lambda name, dgram: got.append((name, dgram.payload, sim.now)))
+
+        def sender():
+            for payload in (b"p0", b"p1"):
+                yield from sa.send(("mcast:ch", 0), payload)
+
+        run_process(sim, sender())
+        sim.run()
+        assert got == [
+            ("m0", b"p0", 0.010428245835718122),
+            ("m1", b"p1", 0.010470643211201997),
+            ("m1", b"p0", 0.011184052532980498),
+            ("m2", b"p1", 0.012165634701182369),
+            ("m0", b"p1", 0.012910810180321839),
+            ("m2", b"p0", 0.014006372326031986),
+        ]
+
+    def test_member_partitioned_in_flight_is_the_only_drop(self, sim):
+        net = Network(sim, latency=0.25)
+        sa = Host(sim, net, "a").bind(1000)
+        got = []
+        fanout_group(sim, net, ("m0", "m1", "m2"),
+                     lambda name, dgram: got.append(name))
+        run_process(sim, sa.send(("mcast:ch", 0), b"x"))
+        sim.schedule(0.1, net.partition, "m1")
+        sim.run()
+        assert got == ["m0", "m2"]
+        assert net.datagrams_partitioned == 1
+
+
 class TestControlChannel:
     def test_in_order_delivery(self, sim):
         chan = ControlChannel(sim, "x", "y", latency=0.001)
