@@ -35,9 +35,13 @@ class Signal:
         self.name = name
         self._event: Event = None
         self._pending = False
+        #: Calls to :meth:`set` so far: a waiter that caches state between
+        #: wakeups compares it to tell whether anything was signalled.
+        self.set_count = 0
 
     def set(self) -> None:
         """Wake the waiter (or remember that it should not sleep next time)."""
+        self.set_count += 1
         event = self._event
         if event is not None and not event.triggered:
             self._event = None
