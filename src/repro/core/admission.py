@@ -15,18 +15,16 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Deque, Optional, Tuple
 
 from repro.core.database import AdminDatabase, ContentEntry, DiskState, MsuState
+from repro.failover import PRIORITY_NORMAL, ResumeTicket
 from repro.media.content import ContentType
+from repro.net import messages as m
+from repro.recovery.parts import Part, from_image, image
 
-__all__ = [
-    "Allocation",
-    "AdmissionControl",
-    "allocation_state",
-    "allocation_from_state",
-]
+__all__ = ["Allocation", "AdmissionControl", "QueuedRequest"]
 
 
 @dataclass
@@ -48,24 +46,66 @@ class Allocation:
     edge_name: str = ""
 
 
-def allocation_state(alloc: Allocation) -> dict:
-    """JSON-safe image of one allocation (journal/snapshot format)."""
-    return asdict(alloc)
+@dataclass
+class QueuedRequest:
+    """A request parked until resources free up (§2.2)."""
+
+    kind: str  # "play", "record" or "resume"
+    session_id: int
+    message: object
+    #: The requester's control channel; None once it died with a crash.
+    channel: object
+    #: Degraded-mode band (repro.failover.degraded); lower drains first.
+    priority: int = PRIORITY_NORMAL
+    #: Durable identity in the recovery journal (0 = never journaled).
+    ticket_id: int = 0
 
 
-def allocation_from_state(state: dict) -> Allocation:
-    """Rebuild an allocation from its :func:`allocation_state` image."""
-    return Allocation(**state)
+#: The messages a parked ticket can carry, by their journal tag.
+_TICKET_MESSAGES = {
+    "play-request": m.PlayRequest,
+    "record-request": m.RecordRequest,
+    "resume-ticket": ResumeTicket,
+}
+_TICKET_TAGS = {cls: tag for tag, cls in _TICKET_MESSAGES.items()}
 
 
-class AdmissionControl:
+def _ticket_image(request: QueuedRequest) -> dict:
+    return {
+        "ticket_id": request.ticket_id,
+        "kind": request.kind,
+        "session_id": request.session_id,
+        "priority": request.priority,
+        "message": {
+            "type": _TICKET_TAGS[type(request.message)],
+            **image(request.message),
+        },
+    }
+
+
+def _ticket_from_image(data: dict) -> QueuedRequest:
+    message = dict(data["message"])
+    cls = _TICKET_MESSAGES[message.pop("type")]
+    return QueuedRequest(
+        data["kind"], data["session_id"], from_image(cls, message),
+        None,  # the requester's connection died with the crash
+        priority=data.get("priority", PRIORITY_NORMAL),
+        ticket_id=data.get("ticket_id", 0),
+    )
+
+
+class AdmissionControl(Part):
     """Bandwidth/space accounting over the admin database."""
+
+    SECTIONS = ("queue", "counters")
 
     def __init__(self, db: AdminDatabase, block_size: int):
         self.db = db
         self.block_size = block_size
         #: Requests waiting for resources (the paper's scheduling queue).
         self.queue: Deque = deque()
+        #: Journal identity of the next parked ticket.
+        self.next_ticket = 1
         self.admitted = 0
         self.queued = 0
         self.rejected = 0
@@ -112,6 +152,13 @@ class AdmissionControl:
                 break
         self.queue.insert(index, request)
         self.queued += 1
+
+    def park(self, request: QueuedRequest) -> None:
+        """Enqueue ``request`` as a durable (journaled) ticket."""
+        request.ticket_id = self.next_ticket
+        self.next_ticket += 1
+        self.enqueue(request)
+        self._journal("ticket-add", _ticket_image(request))
 
     # -- placement ----------------------------------------------------------
 
@@ -342,7 +389,7 @@ class AdmissionControl:
         if alloc.edge_name:
             if self.edge_books is not None:
                 self.edge_books.charge(alloc)
-            self._journal("charge", {"alloc": allocation_state(alloc)})
+            self._journal("charge", {"alloc": image(alloc)})
             return alloc
         if self.observer is not None:
             # Before any book mutation: the escrow may journal grant/steal
@@ -365,7 +412,7 @@ class AdmissionControl:
                     disk.bandwidth_used += alloc.bandwidth
                 if alloc.reserved_blocks and reserve_blocks:
                     disk.free_blocks -= alloc.reserved_blocks
-        self._journal("charge", {"alloc": allocation_state(alloc)})
+        self._journal("charge", {"alloc": image(alloc)})
         return alloc
 
     def release(self, alloc: Allocation, blocks_used: int = 0) -> None:
@@ -385,7 +432,7 @@ class AdmissionControl:
             self._release_books(alloc, blocks_used)
         self._journal(
             "release",
-            {"alloc": allocation_state(alloc), "blocks_used": blocks_used},
+            {"alloc": image(alloc), "blocks_used": blocks_used},
         )
 
     def _release_books(self, alloc: Allocation, blocks_used: int) -> None:
@@ -486,3 +533,51 @@ class AdmissionControl:
         # Journaled after the wipe, like release(): a snapshot install
         # triggered by this append must observe the zeroed books.
         self._journal("release-msu", {"name": msu_name})
+
+    # -- persistence (repro.recovery.parts) -----------------------------------
+
+    def snapshot(self) -> dict:
+        return {
+            "queue": [_ticket_image(request) for request in self.queue],
+            "counters": {
+                "next_ticket": self.next_ticket,
+                "admitted": self.admitted,
+                "queued": self.queued,
+                "rejected": self.rejected,
+                "cache_admitted": self.cache_admitted,
+                "edge_admitted": self.edge_admitted,
+            },
+        }
+
+    def load(self, state: dict) -> None:
+        self.queue.clear()
+        for data in state.get("queue") or ():
+            self.queue.append(_ticket_from_image(data))
+        counters = state.get("counters") or {}
+        self.next_ticket = counters.get("next_ticket", 1)
+        self.admitted = counters.get("admitted", 0)
+        self.queued = counters.get("queued", 0)
+        self.rejected = counters.get("rejected", 0)
+        self.cache_admitted = counters.get("cache_admitted", 0)
+        self.edge_admitted = counters.get("edge_admitted", 0)
+
+    def _replay_ticket_add(self, p: dict) -> None:
+        request = _ticket_from_image(p)
+        self.enqueue(request)
+        self.next_ticket = max(self.next_ticket, request.ticket_id + 1)
+
+    def _replay_ticket_remove(self, p: dict) -> None:
+        for request in list(self.queue):
+            if getattr(request, "ticket_id", 0) == p["ticket_id"]:
+                self.queue.remove(request)
+                break
+
+    REPLAY = {
+        "charge": lambda books, p: books.apply(from_image(Allocation, p["alloc"])),
+        "release": lambda books, p: books.release(
+            from_image(Allocation, p["alloc"]), p.get("blocks_used", 0)
+        ),
+        "release-msu": lambda books, p: books.release_msu(p["name"]),
+        "ticket-add": _replay_ticket_add,
+        "ticket-remove": _replay_ticket_remove,
+    }

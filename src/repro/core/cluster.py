@@ -24,9 +24,7 @@ from repro.media.filtering import make_fast_backward, make_fast_forward
 from repro.media.mpeg import packetize_cbr
 from repro.multicast import MulticastConfig
 from repro.net.network import ControlChannel, Network
-# Module-direct import: the repro.recovery package pulls in repro.core
-# for reconciliation, so going through its __init__ here would cycle.
-from repro.recovery.journal import JournalStore, RecoveryConfig
+from repro.recovery import JournalStore, RecoveryConfig, recover
 from repro.sim import Simulator
 from repro.storage.ibtree import IBTreeConfig
 from repro.units import ms
@@ -86,11 +84,7 @@ class CalliopeCluster:
         self.config = config
         self.intra_net = Network(sim, "intra", latency=config.intra_latency)
         self.delivery_net = Network(sim, "delivery", latency=config.delivery_latency)
-        self.coordinator = Coordinator(
-            sim, types=config.types, block_size=config.ibtree_config.data_page_size,
-            failover=config.failover, multicast=config.multicast,
-            edge=config.edge, live=config.live,
-        )
+        self.coordinator = self.build_coordinator()
         self.journal: Optional[JournalStore] = None
         self.coordinator_down = False
         if config.recovery is not None:
@@ -105,10 +99,6 @@ class CalliopeCluster:
         #: Sim time the current/most recent leader actually died.
         self.leader_lost_at = 0.0
         self._beacon_running = False
-        if config.scaleout is not None:
-            # Even a single shard gets the escrow/service machinery, so
-            # a 1-shard run is an honest baseline for the E24 scaling.
-            self._enable_shards(self.coordinator)
         heartbeat_period = (
             config.failover.heartbeat.period if config.failover is not None else 0.0
         )
@@ -152,14 +142,32 @@ class CalliopeCluster:
 
     # -- coordinator scale-out (repro.scaleout) -----------------------------------
 
-    def _enable_shards(self, coord: Coordinator) -> None:
-        """Install the configured escrow split on ``coord``."""
-        scaleout = self.config.scaleout
-        coord.enable_shards(
-            scaleout.shards,
-            refill_fraction=scaleout.refill_fraction,
-            service_time=scaleout.admit_service_time,
+    def build_coordinator(
+        self, name: str = "coordinator", standby: bool = False
+    ) -> Coordinator:
+        """A Coordinator with every part this cluster's config names.
+
+        The one constructor for the acting leader, its cold-restarted
+        replacement and every warm-standby shadow, so the journal's
+        writer and its readers always hold the same parts.
+        """
+        config = self.config
+        coord = Coordinator(
+            self.sim, types=config.types,
+            block_size=config.ibtree_config.data_page_size, name=name,
+            failover=config.failover, multicast=config.multicast,
+            edge=config.edge, live=config.live, standby=standby,
         )
+        scaleout = config.scaleout
+        if scaleout is not None:
+            # Even a single shard gets the escrow/service machinery, so
+            # a 1-shard run is an honest baseline for the E24 scaling.
+            coord.enable_shards(
+                scaleout.shards,
+                refill_fraction=scaleout.refill_fraction,
+                service_time=scaleout.admit_service_time,
+            )
+        return coord
 
     def create_standby(self) -> "StandbyCoordinator":
         """Bring up a warm standby tailing this cluster's journal."""
@@ -406,19 +414,9 @@ class CalliopeCluster:
             return
         config = self.config
         old = self.coordinator
-        coord = Coordinator(
-            self.sim, types=config.types,
-            block_size=config.ibtree_config.data_page_size,
-            failover=config.failover, multicast=config.multicast,
-            edge=config.edge, live=config.live,
-        )
+        coord = self.build_coordinator()
         coord.tracer = old.tracer
         coord.on_capacity_lost = old.on_capacity_lost
-        if config.scaleout is not None:
-            # Installed before replay so shard-grant/steal records land.
-            self._enable_shards(coord)
-        from repro.recovery.replay import recover
-
         coord.replayed_records = recover(coord, self.journal)
         self.coordinator = coord
         self.coordinator_down = False

@@ -19,19 +19,23 @@ utilization plus the intra-server network load.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.edge import EdgeConfig, PlacementManager
     from repro.multicast import ChannelManager, MulticastConfig
 
-from repro.core.admission import AdmissionControl, Allocation
+from repro.core.admission import AdmissionControl, Allocation, QueuedRequest
 from repro.core.database import AdminDatabase, ContentEntry
-from repro.core.sessions import DisplayPort, Session, SessionTable
+from repro.core.sessions import (
+    DisplayPort,
+    GroupRecord,
+    Session,
+    SessionTable,
+    StreamTables,
+)
 from repro.errors import TypeMismatchError
 from repro.failover import (
-    PRIORITY_NORMAL,
     PRIORITY_RESUME,
     FailoverConfig,
     HeartbeatMonitor,
@@ -44,47 +48,13 @@ from repro.hardware.params import ETHERNET_10, MachineParams
 from repro.media.content import DEFAULT_TYPES, ContentType, ContentTypeRegistry
 from repro.net import messages as m
 from repro.net.network import ControlChannel
-from repro.recovery.snapshot import (
-    group_state,
-    port_state,
-    snapshot_state,
-    ticket_state,
-)
+from repro.recovery.parts import image
+from repro.recovery.reconcile import reconcile
+from repro.recovery.state import snapshot_state
 from repro.sim import Simulator
 from repro.units import BLOCK_SIZE, ms
 
 __all__ = ["Coordinator", "GroupRecord"]
-
-
-@dataclass
-class GroupRecord:
-    """Coordinator-side bookkeeping for one scheduled stream group."""
-
-    group_id: int
-    session_id: int
-    msu_name: str
-    #: stream_id -> granted allocation.
-    allocations: Dict[int, Allocation] = field(default_factory=dict)
-    #: stream_id -> (content name, type name) for recordings in progress.
-    recordings: Dict[int, Tuple[str, str]] = field(default_factory=dict)
-    #: stream_id -> playback identity, kept so the failover migrator can
-    #: re-place the group on a replica after an MSU failure.
-    streams: Dict[int, StreamMeta] = field(default_factory=dict)
-    live = True
-
-
-@dataclass
-class _QueuedRequest:
-    """A request parked until resources free up (§2.2)."""
-
-    kind: str  # "play", "record" or "resume"
-    session_id: int
-    message: object
-    channel: Optional[ControlChannel]
-    #: Degraded-mode band (repro.failover.degraded); lower drains first.
-    priority: int = PRIORITY_NORMAL
-    #: Durable identity in the recovery journal (0 = never journaled).
-    ticket_id: int = 0
 
 
 class Coordinator:
@@ -128,7 +98,9 @@ class Coordinator:
         self.db = AdminDatabase()
         self.admission = AdmissionControl(self.db, block_size)
         self.sessions = SessionTable()
-        self.groups: Dict[int, GroupRecord] = {}
+        #: Sessions, stream groups and the group/stream id allocator.
+        self.tables = StreamTables(self.db, self.sessions)
+        self.groups: Dict[int, GroupRecord] = self.tables.groups
         self._msu_channels: Dict[str, ControlChannel] = {}
         self._session_channels: Dict[int, ControlChannel] = {}
         self.failover = failover
@@ -173,9 +145,13 @@ class Coordinator:
         #: failure; the ReplicationManager's watch() uses it to restore
         #: replica counts for titles that just lost a copy.
         self.on_capacity_lost = None
-        self._next_group = 1
-        self._next_stream = 1
-        self._next_ticket = 1
+        #: Every stateful part, in reconcile order (repro.recovery.parts):
+        #: snapshots, replay and reconciliation walk this list.
+        self.parts = [self.db, self.admission, self.tables] + [
+            part
+            for part in (self.channel_manager, self.live_manager, self.placement)
+            if part is not None
+        ]
         #: Write-ahead log (repro.recovery); None disables journaling.
         self.journal = None
         #: True once halt() ran — this instance is a dead process image.
@@ -224,8 +200,27 @@ class Coordinator:
             refill_fraction=refill_fraction, service_time=service_time,
         )
         self.shards.journal = self._journal
+        # A shadow's escrow moves arrive from the tail, never originate.
+        self.shards.replaying = self.standby
         self.admission.observer = self.shards
+        self.add_part(self.shards)
         return self.shards
+
+    def add_part(self, part) -> None:
+        """Give a stateful subsystem its snapshot sections, journal kinds
+        and reconcile pass (a :class:`~repro.recovery.parts.Part`)."""
+        owned = {kind for other in self.parts for kind in other.REPLAY}
+        if owned & set(part.REPLAY):
+            raise ValueError(
+                f"journal kinds already owned: {sorted(owned & set(part.REPLAY))}"
+            )
+        self.parts.append(part)
+
+    def set_replaying(self, replaying: bool) -> None:
+        """Escrow refills must not originate while journal records replay
+        (they arrive as replayed records of their own)."""
+        if self.shards is not None:
+            self.shards.replaying = replaying or self.standby
 
     def activate(self) -> None:
         """Promote a standby shadow into the acting leader.
@@ -242,8 +237,7 @@ class Coordinator:
             self.placement.activate()
         if self.live_manager is not None:
             self.live_manager.activate()
-        if self.shards is not None:
-            self.shards.replaying = False
+        self.set_replaying(False)
 
     def arm_heartbeat_reconcile(self, msu_names) -> None:
         """Schedule a warm reconciliation against each MSU's next beat.
@@ -307,14 +301,14 @@ class Coordinator:
 
     def allocate_group_id(self) -> int:
         """Hand out the next stream-group identifier."""
-        group_id = self._next_group
-        self._next_group += 1
+        group_id = self.tables.next_group
+        self.tables.next_group += 1
         return group_id
 
     def allocate_stream_id(self) -> int:
         """Hand out the next stream identifier."""
-        stream_id = self._next_stream
-        self._next_stream += 1
+        stream_id = self.tables.next_stream
+        self.tables.next_stream += 1
         return stream_id
 
     # -- crash recovery (repro.recovery) -----------------------------------------
@@ -390,8 +384,6 @@ class Coordinator:
         """Reconcile against the collected StateReports and resume service."""
         if not self.recovering:
             return
-        from repro.recovery.reconcile import reconcile
-
         self.recovering = False
         reports = [
             self._recovery_reports[name]
@@ -437,17 +429,8 @@ class Coordinator:
 
     def register_group(self, group: GroupRecord, session: Session) -> None:
         """Install a scheduled group and journal its full image."""
-        self.groups[group.group_id] = group
-        if group.group_id not in session.active_groups:
-            session.active_groups.append(group.group_id)
-        self._journal("group-open", {"group": group_state(group)})
-
-    def _enqueue(self, req: _QueuedRequest) -> None:
-        """Park a request on the scheduling queue as a durable ticket."""
-        req.ticket_id = self._next_ticket
-        self._next_ticket += 1
-        self.admission.enqueue(req)
-        self._journal("ticket-add", ticket_state(req))
+        self.tables.add(group, session)
+        self._journal("group-open", {"group": image(group)})
 
     # -- wiring ------------------------------------------------------------------
 
@@ -612,10 +595,7 @@ class Coordinator:
             if group.msu_name != msu_name:
                 continue
             affected.append(group)
-            del self.groups[group.group_id]
-            session = self.sessions.lookup(group.session_id)
-            if session is not None:
-                session.drop_group(group.group_id)
+            self.tables.drop(group)
             for alloc in group.allocations.values():
                 self.admission.release(alloc)
             group.allocations.clear()
@@ -686,10 +666,7 @@ class Coordinator:
             if entry is not None:  # adopted orphans may lack an entry
                 entry.blocks = msg.recorded_blocks
         if not group.allocations and not group.recordings:
-            self.groups.pop(msg.group_id, None)
-            session = self.sessions.lookup(group.session_id)
-            if session is not None:
-                session.drop_group(msg.group_id)
+            self.tables.drop(group)
 
     # -- client side -------------------------------------------------------------------
 
@@ -770,7 +747,7 @@ class Coordinator:
         session.register_port(port)
         self._journal(
             "port-add",
-            {"session_id": msg.session_id, "port": port_state(port)},
+            {"session_id": msg.session_id, "port": image(port)},
         )
         return m.PortRegistered(msg.port_name)
 
@@ -795,7 +772,7 @@ class Coordinator:
         session.register_port(port)
         self._journal(
             "port-add",
-            {"session_id": msg.session_id, "port": port_state(port)},
+            {"session_id": msg.session_id, "port": image(port)},
         )
         return m.PortRegistered(msg.port_name)
 
@@ -857,15 +834,15 @@ class Coordinator:
     ) -> Generator:
         if self.recovering:
             # The books are mid-reconciliation; park until they settle.
-            self._enqueue(_QueuedRequest("play", msg.session_id, msg, channel))
+            self.admission.park(QueuedRequest("play", msg.session_id, msg, channel))
             return None
         if self.shards is not None:
             shard = self.shards.shard_for(msg.content_name)
             if self.shards.is_partitioned(shard):
                 # The owning shard is unreachable; nobody else may spend
                 # its escrow, so the request parks until the heal.
-                self._enqueue(
-                    _QueuedRequest("play", msg.session_id, msg, channel)
+                self.admission.park(
+                    QueuedRequest("play", msg.session_id, msg, channel)
                 )
                 self._trace(
                     "queued", msg.content_name, f"shard {shard} partitioned"
@@ -916,8 +893,8 @@ class Coordinator:
             if alloc is None:
                 for _, _, granted in allocations:
                     self.admission.release(granted)
-                self._enqueue(
-                    _QueuedRequest(
+                self.admission.park(
+                    QueuedRequest(
                         "play", msg.session_id, msg, channel,
                         priority=play_priority(self.db, entry),
                     )
@@ -945,13 +922,13 @@ class Coordinator:
                 if edge_alloc is not None:
                     edge_plan = plan + (edge_alloc,)
         self.db.note_played(entry.name)
-        group = GroupRecord(self._next_group, msg.session_id, allocations[0][2].msu_name)
-        self._next_group += 1
+        group = GroupRecord(
+            self.allocate_group_id(), msg.session_id, allocations[0][2].msu_name
+        )
         msu_channel = self._msu_channels[group.msu_name]
         size = len(allocations)
         for comp_entry, comp_port, alloc in allocations:
-            stream_id = self._next_stream
-            self._next_stream += 1
+            stream_id = self.allocate_stream_id()
             group.allocations[stream_id] = alloc
             group.streams[stream_id] = StreamMeta(
                 comp_entry.name, comp_entry.type_name, tuple(comp_port.address)
@@ -990,13 +967,13 @@ class Coordinator:
 
     def _record(self, msg: m.RecordRequest, channel: ControlChannel) -> Generator:
         if self.recovering:
-            self._enqueue(_QueuedRequest("record", msg.session_id, msg, channel))
+            self.admission.park(QueuedRequest("record", msg.session_id, msg, channel))
             return None
         if self.shards is not None:
             shard = self.shards.shard_for(msg.content_name)
             if self.shards.is_partitioned(shard):
-                self._enqueue(
-                    _QueuedRequest("record", msg.session_id, msg, channel)
+                self.admission.park(
+                    QueuedRequest("record", msg.session_id, msg, channel)
                 )
                 return None
             delay = self.shards.admission_delay(shard, self.sim.now)
@@ -1033,20 +1010,18 @@ class Coordinator:
             if alloc is None:
                 for _, _, _, granted in placed:
                     self.admission.release(granted)
-                self._enqueue(
-                    _QueuedRequest("record", msg.session_id, msg, channel)
+                self.admission.park(
+                    QueuedRequest("record", msg.session_id, msg, channel)
                 )
                 return None
             msu_pin = alloc.msu_name
             placed.append((content_name, comp_type, comp_port, alloc))
-        group = GroupRecord(self._next_group, msg.session_id, msu_pin)
-        self._next_group += 1
+        group = GroupRecord(self.allocate_group_id(), msg.session_id, msu_pin)
         msu_channel = self._msu_channels[group.msu_name]
         size = len(placed)
         component_names = []
         for content_name, comp_type, comp_port, alloc in placed:
-            stream_id = self._next_stream
-            self._next_stream += 1
+            stream_id = self.allocate_stream_id()
             group.allocations[stream_id] = alloc
             group.recordings[stream_id] = (content_name, comp_type.name)
             component_names.append(content_name)
@@ -1102,8 +1077,8 @@ class Coordinator:
 
     def queue_resume(self, ticket) -> None:
         """Park an unplaceable resume ticket at the head of the queue."""
-        self._enqueue(
-            _QueuedRequest(
+        self.admission.park(
+            QueuedRequest(
                 "resume", ticket.session_id, ticket, None,
                 priority=PRIORITY_RESUME,
             )
@@ -1125,7 +1100,7 @@ class Coordinator:
         for req in pending:
             self.sim.process(self._retry_one(req), name="coord.retry")
 
-    def _retry_one(self, req: _QueuedRequest) -> Generator:
+    def _retry_one(self, req: QueuedRequest) -> Generator:
         if self.dead:
             return
         if req.ticket_id:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ContentInUseError, UnknownContentError
+from repro.recovery.parts import Part, from_image, image
 
 __all__ = [
     "Customer",
@@ -19,8 +20,6 @@ __all__ = [
     "DiskState",
     "MsuState",
     "AdminDatabase",
-    "entry_state",
-    "entry_from_state",
 ]
 
 
@@ -95,44 +94,6 @@ class ContentEntry:
         return sum(self.active.values())
 
 
-def entry_state(entry: ContentEntry) -> dict:
-    """JSON-safe image of one content entry (journal/snapshot format)."""
-    return {
-        "name": entry.name,
-        "type_name": entry.type_name,
-        "msu_name": entry.msu_name,
-        "disk_id": entry.disk_id,
-        "blocks": entry.blocks,
-        "duration_us": entry.duration_us,
-        "components": list(entry.components),
-        "replicas": [list(loc) for loc in entry.replicas],
-        "play_count": entry.play_count,
-        "request_count": entry.request_count,
-        "prefix_pinned": entry.prefix_pinned,
-        "active": [[list(loc), count] for loc, count in sorted(entry.active.items())],
-    }
-
-
-def entry_from_state(state: dict) -> ContentEntry:
-    """Rebuild a content entry from its :func:`entry_state` image."""
-    return ContentEntry(
-        name=state["name"],
-        type_name=state["type_name"],
-        msu_name=state.get("msu_name", ""),
-        disk_id=state.get("disk_id", ""),
-        blocks=state.get("blocks", 0),
-        duration_us=state.get("duration_us", 0),
-        components=tuple(state.get("components", ())),
-        replicas=tuple(tuple(loc) for loc in state.get("replicas", ())),
-        play_count=state.get("play_count", 0),
-        request_count=state.get("request_count", 0),
-        prefix_pinned=state.get("prefix_pinned", False),
-        active={
-            tuple(loc): count for loc, count in state.get("active", ())
-        },
-    )
-
-
 @dataclass
 class DiskState:
     """Coordinator-side accounting for one MSU disk."""
@@ -180,8 +141,52 @@ class MsuState:
         return self.cache_capacity - self.cache_used
 
 
-class AdminDatabase:
+def _msu_image(state: MsuState) -> dict:
+    """Snapshot image of one MSU's books (its cache statistics are not kept)."""
+    return {
+        "name": state.name,
+        "available": state.available,
+        "delivery_capacity": state.delivery_capacity,
+        "delivery_used": state.delivery_used,
+        "active_streams": state.active_streams,
+        "cache_capacity": state.cache_capacity,
+        "cache_used": state.cache_used,
+        "disks": [
+            {
+                "disk_id": disk.disk_id,
+                "free_blocks": disk.free_blocks,
+                "bandwidth_capacity": disk.bandwidth_capacity,
+                "bandwidth_used": disk.bandwidth_used,
+            }
+            for _, disk in sorted(state.disks.items())
+        ],
+    }
+
+
+def _msu_from_image(data: dict) -> MsuState:
+    state = MsuState(data["name"])
+    state.available = data.get("available", True)
+    state.delivery_capacity = data.get("delivery_capacity", state.delivery_capacity)
+    state.delivery_used = data.get("delivery_used", 0.0)
+    state.active_streams = data.get("active_streams", 0)
+    state.cache_capacity = data.get("cache_capacity", 0.0)
+    state.cache_used = data.get("cache_used", 0.0)
+    for disk_data in data.get("disks", ()):
+        disk = DiskState(
+            state.name,
+            disk_data["disk_id"],
+            disk_data["free_blocks"],
+            bandwidth_capacity=disk_data.get("bandwidth_capacity", 2.3e6),
+        )
+        disk.bandwidth_used = disk_data.get("bandwidth_used", 0.0)
+        state.disks[disk.disk_id] = disk
+    return state
+
+
+class AdminDatabase(Part):
     """Customers, contents and resources."""
+
+    SECTIONS = ("customers", "contents", "msus")
 
     def __init__(self):
         self.customers: Dict[str, Customer] = {}
@@ -211,7 +216,7 @@ class AdminDatabase:
 
     def add_content(self, entry: ContentEntry) -> None:
         self.contents[entry.name] = entry
-        self._journal("content-add", {"entry": entry_state(entry)})
+        self._journal("content-add", {"entry": image(entry)})
 
     def content(self, name: str) -> ContentEntry:
         try:
@@ -334,3 +339,106 @@ class AdminDatabase:
             "disk-adjust",
             {"msu_name": msu_name, "disk_id": disk_id, "delta": delta},
         )
+
+    # -- persistence (repro.recovery.parts) -----------------------------------
+
+    def snapshot(self) -> dict:
+        return {
+            "customers": [image(c) for _, c in sorted(self.customers.items())],
+            "contents": [image(e) for _, e in sorted(self.contents.items())],
+            "msus": [_msu_image(s) for _, s in sorted(self.msus.items())],
+        }
+
+    def load(self, state: dict) -> None:
+        self.customers.clear()
+        for data in state.get("customers") or ():
+            self.customers[data["name"]] = from_image(Customer, data)
+        self.contents.clear()
+        for data in state.get("contents") or ():
+            entry = from_image(ContentEntry, data)
+            self.contents[entry.name] = entry
+        self.msus.clear()
+        for data in state.get("msus") or ():
+            msu = _msu_from_image(data)
+            self.msus[msu.name] = msu
+
+    def reconcile(self, by_msu: dict, outcome) -> None:
+        """Free blocks come from the MSU allocators, pins from their caches."""
+        for report in by_msu.values():
+            state = self.msus.get(report.msu_name)
+            if state is None:
+                self.register_msu(
+                    report.msu_name,
+                    [(disk_id, free) for disk_id, free in report.disks],
+                    report.cache_bps,
+                )
+                continue
+            state.available = True
+            state.cache_capacity = report.cache_bps
+            for disk_id, free in report.disks:
+                disk = state.disks.get(disk_id)
+                if disk is not None:
+                    disk.free_blocks = free
+        # A title is pinned iff its home MSU's cache says so.
+        for report in by_msu.values():
+            pinned = {
+                (disk_id, content)
+                for disk_id, content, pages in report.pins
+                if pages > 0
+            }
+            for entry in self.contents.values():
+                if entry.msu_name != report.msu_name:
+                    continue
+                key = (entry.disk_id, entry.name)
+                if entry.prefix_pinned and key not in pinned:
+                    entry.prefix_pinned = False
+                    outcome.pins_reset += 1
+                    outcome.discrepancies.append(
+                        f"{report.msu_name}: prefix of {entry.name!r} not "
+                        f"pinned; flag reset"
+                    )
+                elif not entry.prefix_pinned and key in pinned:
+                    entry.prefix_pinned = True
+
+    def _replay_replica(self, p: dict) -> None:
+        entry = self.contents.get(p["name"])
+        if entry is not None:
+            entry.add_replica(p["msu_name"], p["disk_id"])
+
+    def _replay_requested(self, p: dict) -> None:
+        entry = self.contents.get(p["name"])
+        if entry is not None:
+            entry.request_count += 1
+
+    def _replay_played(self, p: dict) -> None:
+        entry = self.contents.get(p["name"])
+        if entry is not None:
+            entry.play_count += p.get("count", 1)
+
+    def _replay_pinned(self, p: dict) -> None:
+        entry = self.contents.get(p["name"])
+        if entry is not None:
+            entry.prefix_pinned = True
+
+    REPLAY = {
+        "customer-add": lambda db, p: db.add_customer(
+            p["name"], p.get("admin", False)
+        ),
+        "content-add": lambda db, p: db.add_content(
+            from_image(ContentEntry, p["entry"])
+        ),
+        "content-remove": lambda db, p: db.contents.pop(p["name"], None),
+        "content-replica": _replay_replica,
+        "note-request": _replay_requested,
+        "content-played": _replay_played,
+        "msu-register": lambda db, p: db.register_msu(
+            p["name"],
+            [(disk_id, free) for disk_id, free in p.get("disks", ())],
+            p.get("cache_bps", 0.0),
+        ),
+        "msu-down": lambda db, p: db.mark_msu_down(p["name"]),
+        "disk-adjust": lambda db, p: db.adjust_free_blocks(
+            p["msu_name"], p["disk_id"], p["delta"]
+        ),
+        "prefix-pin": _replay_pinned,
+    }

@@ -25,9 +25,10 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.core.admission import Allocation, allocation_state, allocation_from_state
+from repro.core.admission import Allocation
 from repro.edge.proxy import EdgeConfig
 from repro.net import messages as m
+from repro.recovery.parts import Part, from_image, image
 
 __all__ = ["EdgeView", "PlacementManager"]
 
@@ -74,8 +75,10 @@ class _Serve:
     allocation: Allocation
 
 
-class PlacementManager:
+class PlacementManager(Part):
     """Popularity tracking + prefix placement + the edge admission books."""
+
+    SECTIONS = ("edge",)
 
     def __init__(self, coordinator, config: Optional[EdgeConfig] = None):
         self.coord = coordinator
@@ -291,7 +294,7 @@ class PlacementManager:
                 "edge": edge_name, "group_id": group_id,
                 "stream_id": stream_id, "content": entry.name,
                 "kind": kind, "end_page": end_page,
-                "alloc": allocation_state(alloc),
+                "alloc": image(alloc),
             },
         )
         if view is not None and view.attached:
@@ -401,7 +404,7 @@ class PlacementManager:
             view.patch_bytes_served, msg.patch_bytes_served
         )
 
-    def reconcile_edges(self) -> List[str]:
+    def reconcile(self, by_msu: dict, outcome) -> None:
         """Refund serve state for edges that have not re-attached.
 
         The restart counterpart of the silent-MSU rule: a replayed serve
@@ -410,7 +413,6 @@ class PlacementManager:
         dead), so its charge must not outlive the recovery.  Attached
         edges were already reconciled edge-wins at their hello.
         """
-        notes: List[str] = []
         for name in sorted(self.edges):
             view = self.edges[name]
             if view.attached:
@@ -419,7 +421,7 @@ class PlacementManager:
                 1 for serve in self.serves.values() if serve.edge_name == name
             )
             if dropped or view.pinned or view.uplink_used:
-                notes.append(
+                outcome.discrepancies.append(
                     f"{name}: no EdgeHello; dropped {dropped} serve(s) "
                     f"and {len(view.pinned)} pin(s)"
                 )
@@ -428,7 +430,6 @@ class PlacementManager:
             view.uplink_used = 0.0
             self.recent.pop(name, None)
             self.coord._journal("edge-down", {"edge": name})
-        return notes
 
     def edge_down(self, edge_name: str) -> None:
         """The edge's control connection broke: everything it held is gone."""
@@ -452,10 +453,10 @@ class PlacementManager:
         total = self.covered_serves() + self.plan_misses
         return self.covered_serves() / total if total else 0.0
 
-    # -- crash-recovery state (snapshot / restore / replay) -----------------
+    # -- persistence (repro.recovery.parts) ---------------------------------
 
-    def state(self) -> dict:
-        return {
+    def snapshot(self) -> dict:
+        return {"edge": {
             "scores": sorted(self.scores.items()),
             "edges": [
                 {
@@ -472,7 +473,7 @@ class PlacementManager:
                     "group_id": gid, "stream_id": sid,
                     "edge": s.edge_name, "content": s.content_name,
                     "kind": s.kind, "end_page": s.end_page,
-                    "alloc": allocation_state(s.allocation),
+                    "alloc": image(s.allocation),
                 }
                 for (gid, sid), s in sorted(self.serves.items())
             ],
@@ -482,11 +483,15 @@ class PlacementManager:
                 "interval_serves": self.interval_serves,
                 "plan_misses": self.plan_misses,
             },
-        }
+        }}
 
-    def restore(self, state: dict) -> None:
-        self.scores = {name: score for name, score in state.get("scores", [])}
-        for estate in state.get("edges", []):
+    def load(self, state: dict) -> None:
+        data = state.get("edge") or {}
+        self.scores = {name: score for name, score in data.get("scores", [])}
+        self.edges.clear()
+        self.serves.clear()
+        self.recent.clear()
+        for estate in data.get("edges", []):
             view = EdgeView(
                 estate["name"],
                 memory_budget=estate.get("memory_budget", 0),
@@ -495,22 +500,20 @@ class PlacementManager:
             view.pinned = {n: p for n, p in estate.get("pinned", [])}
             view.uplink_used = estate.get("uplink_used", 0.0)
             self.edges[view.name] = view
-        for sstate in state.get("serves", []):
-            key = (sstate["group_id"], sstate["stream_id"])
-            self.serves[key] = _Serve(
-                sstate["edge"], sstate["content"], sstate["kind"],
-                sstate.get("end_page", 0),
-                allocation_from_state(sstate["alloc"]),
-            )
-        counters = state.get("counters", {})
+        for sstate in data.get("serves", []):
+            self._replay_serve(sstate)
+        counters = data.get("counters", {})
         self.prefix_serves = counters.get("prefix_serves", 0)
         self.patch_serves = counters.get("patch_serves", 0)
         self.interval_serves = counters.get("interval_serves", 0)
         self.plan_misses = counters.get("plan_misses", 0)
 
-    # -- WAL replay handlers (repro.recovery.replay) ------------------------
+    def _forget_serves(self, edge_name: str) -> None:
+        for key, record in list(self.serves.items()):
+            if record.edge_name == edge_name:
+                del self.serves[key]
 
-    def replay_attach(self, payload: dict) -> None:
+    def _replay_attach(self, payload: dict) -> None:
         view = self.edges.setdefault(payload["edge"], EdgeView(payload["edge"]))
         view.memory_budget = payload.get("memory_budget", 0)
         view.uplink_bps = payload.get("uplink_bps", 0.0)
@@ -520,39 +523,43 @@ class PlacementManager:
         # The hello refunded our in-flight serves for this edge (the
         # "release" records replay just before this one); drop the
         # matching registry entries too.
-        for key, record in list(self.serves.items()):
-            if record.edge_name == payload["edge"]:
-                del self.serves[key]
+        self._forget_serves(payload["edge"])
 
-    def replay_down(self, payload: dict) -> None:
+    def _replay_down(self, payload: dict) -> None:
         view = self.edges.get(payload["edge"])
         if view is not None:
             view.channel = None
             view.pinned.clear()
             view.uplink_used = 0.0
-        for key, record in list(self.serves.items()):
-            if record.edge_name == payload["edge"]:
-                del self.serves[key]
+        self._forget_serves(payload["edge"])
 
-    def replay_place(self, payload: dict) -> None:
+    def _replay_place(self, payload: dict) -> None:
         view = self.edges.setdefault(payload["edge"], EdgeView(payload["edge"]))
         view.pinned[payload["content"]] = payload["pages"]
 
-    def replay_evict(self, payload: dict) -> None:
+    def _replay_evict(self, payload: dict) -> None:
         view = self.edges.get(payload["edge"])
         if view is not None:
             view.pinned.pop(payload["content"], None)
 
-    def replay_serve(self, payload: dict) -> None:
+    def _replay_serve(self, payload: dict) -> None:
         # The uplink charge replays separately through the standard
         # "charge" record; only the registry entry is rebuilt here.
         key = (payload["group_id"], payload["stream_id"])
         self.serves[key] = _Serve(
             payload["edge"], payload["content"], payload["kind"],
             payload.get("end_page", 0),
-            allocation_from_state(payload["alloc"]),
+            from_image(Allocation, payload["alloc"]),
         )
 
-    def replay_serve_done(self, payload: dict) -> None:
+    REPLAY = {
+        "edge-attach": _replay_attach,
+        "edge-down": _replay_down,
+        "edge-place": _replay_place,
+        "edge-evict": _replay_evict,
+        "edge-serve": _replay_serve,
         # Likewise the refund replays via "release"; just drop the entry.
-        self.serves.pop((payload["group_id"], payload["stream_id"]), None)
+        "edge-serve-done": lambda placement, payload: placement.serves.pop(
+            (payload["group_id"], payload["stream_id"]), None
+        ),
+    }

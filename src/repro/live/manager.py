@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Dict, Generator, Optional, Set, Tuple
 
 from repro.net import messages as m
 from repro.net.network import MULTICAST_PREFIX
+from repro.recovery.parts import Part, from_image, image
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.coordinator import Coordinator
@@ -100,15 +101,16 @@ class LiveChannelRecord:
     #: viewer group_id -> stream_id.
     subscribers: Dict[int, int] = field(default_factory=dict)
     ingest_done: bool = False
-    closed: bool = False
     viewers_total: int = 0
     peak_subscribers: int = 0
     rewinds: int = 0
     rewind_hits: int = 0
 
 
-class LiveManager:
+class LiveManager(Part):
     """EPG scheduling, surf admission, and time-shift accounting."""
+
+    SECTIONS = ("live",)
 
     def __init__(self, coordinator: "Coordinator", config: LiveConfig):
         self.coord = coordinator
@@ -185,7 +187,6 @@ class LiveManager:
         """Admit and open one live channel; None when the cluster is full."""
         from repro.core.coordinator import GroupRecord  # cycle: late import
         from repro.core.database import ContentEntry
-        from repro.recovery.snapshot import group_state, live_record_state
 
         coord = self.coord
         if spec.name in coord.db.contents or spec.name in self._by_name:
@@ -232,11 +233,11 @@ class LiveManager:
         ingest_group.allocations[ingest_stream_id] = alloc
         ingest_group.recordings[ingest_stream_id] = (spec.name, spec.type_name)
         coord.groups[ingest_group_id] = ingest_group
-        coord._journal("group-open", {"group": group_state(ingest_group)})
+        coord._journal("group-open", {"group": image(ingest_group)})
         fan_group = GroupRecord(group_id, 0, alloc.msu_name)
         fan_group.allocations[stream_id] = fan_alloc
         coord.groups[group_id] = fan_group
-        coord._journal("group-open", {"group": group_state(fan_group)})
+        coord._journal("group-open", {"group": image(fan_group)})
         record = LiveChannelRecord(
             channel_id, spec.name, spec.type_name, alloc.msu_name,
             alloc.disk_id, group_id, stream_id, ingest_group_id,
@@ -245,7 +246,7 @@ class LiveManager:
         )
         self._install(record)
         self.channels_opened += 1
-        coord._journal("live-open", {"channel": live_record_state(record)})
+        coord._journal("live-open", {"channel": image(record)})
         msu_channel.send(
             coord.name,
             m.LiveOpen(
@@ -326,13 +327,16 @@ class LiveManager:
         leave storms drain at the configured rate instead of saturating
         the Coordinator.
         """
-        from repro.core.coordinator import GroupRecord, _QueuedRequest
+        from repro.core.admission import QueuedRequest  # cycle: late import
+        from repro.core.coordinator import GroupRecord
         from repro.failover import StreamMeta
 
         coord = self.coord
         if not self._take_surf_token():
             self.surf_throttled += 1
-            coord._enqueue(_QueuedRequest("play", msg.session_id, msg, channel))
+            coord.admission.park(
+                QueuedRequest("play", msg.session_id, msg, channel)
+            )
             coord._trace("live-throttled", entry.name,
                          f"session={msg.session_id}")
             return None
@@ -343,13 +347,7 @@ class LiveManager:
             entry.name, entry.type_name, tuple(port.address)
         )
         coord.register_group(group, session)
-        record.subscribers[group_id] = stream_id
-        record.viewers_total += 1
-        record.peak_subscribers = max(
-            record.peak_subscribers, len(record.subscribers)
-        )
-        self._subscriber_groups[group_id] = record.channel_id
-        self.viewers_joined += 1
+        self._subscribe(record, group_id, stream_id)
         coord._journal("live-tune", {
             "channel_id": record.channel_id,
             "group_id": group_id,
@@ -370,12 +368,21 @@ class LiveManager:
                      f"channel={record.channel_id} group={group_id}")
         return m.StreamScheduled(group_id, record.msu_name)
 
+    def _subscribe(
+        self, record: LiveChannelRecord, group_id: int, stream_id: int
+    ) -> None:
+        record.subscribers[group_id] = stream_id
+        record.viewers_total += 1
+        record.peak_subscribers = max(
+            record.peak_subscribers, len(record.subscribers)
+        )
+        self._subscriber_groups[group_id] = record.channel_id
+        self.viewers_joined += 1
+
     # -- time shift (rewind charge / merge refund) ---------------------------
 
     def rewound(self, msg: m.LiveRewound) -> None:
         """The MSU opened a time-shift patch: charge the unicast slot."""
-        from repro.recovery.snapshot import allocation_state
-
         record = self.channels.get(msg.channel_id)
         self.rewinds += 1
         if msg.hit:
@@ -401,7 +408,7 @@ class LiveManager:
             "channel_id": msg.channel_id,
             "group_id": msg.group_id,
             "stream_id": msg.stream_id,
-            "alloc": allocation_state(alloc),
+            "alloc": image(alloc),
             "hit": msg.hit,
         })
         self.coord._trace("live-rewind", record.content_name,
@@ -461,7 +468,6 @@ class LiveManager:
         record = self.channels.pop(channel_id, None)
         if record is None:
             return
-        record.closed = True
         if self._by_name.get(record.content_name) == channel_id:
             del self._by_name[record.content_name]
         self._channel_groups.pop(record.group_id, None)
@@ -500,32 +506,6 @@ class LiveManager:
         ]:
             self.close_channel(channel_id, forced=True)
 
-    # -- recovery ------------------------------------------------------------
-
-    def state(self) -> dict:
-        """Snapshot image of the live tier."""
-        from repro.recovery.snapshot import live_record_state
-
-        return {
-            "next_channel": self._next_channel,
-            "fired": sorted(self.fired),
-            "channels": [
-                live_record_state(self.channels[cid])
-                for cid in sorted(self.channels)
-            ],
-        }
-
-    def restore(self, state: dict) -> None:
-        """Rebuild the live tier from a snapshot image."""
-        from repro.recovery.snapshot import live_record_from_state
-
-        self._next_channel = max(
-            self._next_channel, int(state.get("next_channel", 0))
-        )
-        self.fired = set(state.get("fired", ()))
-        for image in state.get("channels", ()):
-            self._install(live_record_from_state(image))
-
     def drop_channel(self, channel_id: int) -> None:
         """Forget a channel record without touching books or content.
 
@@ -542,3 +522,189 @@ class LiveManager:
         self._ingest_groups.pop(record.ingest_group_id, None)
         for gid in record.subscribers:
             self._subscriber_groups.pop(gid, None)
+
+    # -- persistence (repro.recovery.parts) ------------------------------------
+
+    def snapshot(self) -> dict:
+        return {"live": {
+            "next_channel": self._next_channel,
+            "fired": sorted(self.fired),
+            "channels": [image(self.channels[cid]) for cid in sorted(self.channels)],
+        }}
+
+    def load(self, state: dict) -> None:
+        data = state.get("live") or {}
+        for index in (
+            self.channels, self._by_name, self._channel_groups,
+            self._ingest_groups, self._subscriber_groups,
+        ):
+            index.clear()
+        self._next_channel = data.get("next_channel", LIVE_CHANNEL_BASE + 1)
+        self.fired = set(data.get("fired", ()))
+        for channel in data.get("channels", ()):
+            self._install(from_image(LiveChannelRecord, channel))
+
+    def reconcile(self, by_msu: dict, outcome) -> None:
+        """MSU-wins for live channels: the broadcast the MSU runs is real."""
+        coord = self.coord
+        live_at = {
+            name: {entry[0]: entry for entry in report.live_channels}
+            for name, report in by_msu.items()
+        }
+        for channel_id in sorted(self.channels):
+            record = self.channels[channel_id]
+            if record.msu_name not in by_msu:
+                continue
+            reported = live_at[record.msu_name].get(channel_id)
+            if reported is None:
+                # The broadcast ended (or died) during the outage.  Its
+                # groups were already dropped stream-by-stream; this only
+                # forgets the manager record.
+                self.drop_channel(channel_id)
+                self.channels_closed += 1
+                outcome.channels_dropped += 1
+                outcome.discrepancies.append(
+                    f"{record.msu_name}: live channel {channel_id} off the "
+                    f"air; closed"
+                )
+                continue
+            outcome.channels_kept += 1
+            live_subs = {gid: sid for gid, sid in reported[6]}
+            for gid in sorted(set(record.subscribers) - set(live_subs)):
+                record.subscribers.pop(gid, None)
+                self._subscriber_groups.pop(gid, None)
+                outcome.subscribers_dropped += 1
+                outcome.discrepancies.append(
+                    f"{record.msu_name}: live channel {channel_id} viewer "
+                    f"{gid} gone; detached"
+                )
+            for gid in sorted(set(live_subs) - set(record.subscribers)):
+                record.subscribers[gid] = live_subs[gid]
+                self._subscriber_groups[gid] = channel_id
+                outcome.discrepancies.append(
+                    f"{record.msu_name}: live channel {channel_id} viewer "
+                    f"{gid} unknown; adopted"
+                )
+            # An ingest that signed off while the Coordinator was dead.
+            streams = {
+                (gid, sid)
+                for gid, sid, _c, _d, _k, _r in by_msu[record.msu_name].streams
+            }
+            if (
+                not record.ingest_done
+                and (record.ingest_group_id, record.ingest_stream_id)
+                not in streams
+            ):
+                record.ingest_done = True
+                self._ingest_groups.pop(record.ingest_group_id, None)
+                outcome.discrepancies.append(
+                    f"{record.msu_name}: live channel {channel_id} ingest "
+                    f"finished during outage"
+                )
+
+        # Broadcasts the MSU runs that the Coordinator has no record of.
+        for name in sorted(by_msu):
+            records_by_kind = {
+                (gid, sid): (content, kind)
+                for gid, sid, content, _d, kind, _r in by_msu[name].streams
+            }
+            for channel_id in sorted(live_at[name]):
+                if channel_id in self.channels:
+                    continue
+                _cid, group_id, stream_id, content, disk_id, rate, pairs = (
+                    live_at[name][channel_id]
+                )
+                entry = coord.db.contents.get(content)
+                ingest_gid, ingest_sid = 0, -1
+                for (gid, sid), (c, kind) in sorted(records_by_kind.items()):
+                    if kind == "record" and c == content:
+                        ingest_gid, ingest_sid = gid, sid
+                        break
+                record = LiveChannelRecord(
+                    channel_id=channel_id,
+                    content_name=content,
+                    type_name=entry.type_name if entry is not None else "",
+                    msu_name=name,
+                    disk_id=disk_id,
+                    group_id=group_id,
+                    stream_id=stream_id,
+                    ingest_group_id=ingest_gid,
+                    ingest_stream_id=ingest_sid,
+                    rate=rate,
+                    started_at=coord.sim.now,
+                    ring_blocks=0,
+                    dvr=False,
+                    mcast_host=f"{MULTICAST_PREFIX}{name}:live{channel_id}",
+                    source_host="",
+                    subscribers={gid: sid for gid, sid in pairs},
+                    ingest_done=ingest_sid < 0,
+                )
+                self._install(record)
+                self.channels_opened += 1
+                coord.tables.claim_ids(group_id, stream_id)
+                outcome.channels_adopted += 1
+                outcome.discrepancies.append(
+                    f"{name}: unknown live channel {channel_id} ({content!r}); "
+                    f"adopted"
+                )
+
+    def _replay_open(self, p: dict) -> None:
+        record = from_image(LiveChannelRecord, p["channel"])
+        self._install(record)
+        self.channels_opened += 1
+        self.coord.tables.claim_ids(
+            max(record.group_id, record.ingest_group_id),
+            max(record.stream_id, record.ingest_stream_id),
+        )
+
+    def _replay_tune(self, p: dict) -> None:
+        record = self.channels.get(p["channel_id"])
+        if record is not None:
+            self._subscribe(record, p["group_id"], p["stream_id"])
+
+    def _replay_rewind(self, p: dict) -> None:
+        from repro.core.admission import Allocation  # cycle: late import
+
+        # The charge replays through its own "charge" record; here we only
+        # pin the allocation back onto the viewer's group so a later merge
+        # (or termination) finds it to refund.
+        group = self.coord.groups.get(p["group_id"])
+        if group is not None:
+            group.allocations[p["stream_id"]] = from_image(Allocation, p["alloc"])
+        self.rewinds += 1
+        if p.get("hit", True):
+            self.rewind_hits += 1
+
+    def _replay_merge(self, p: dict) -> None:
+        group = self.coord.groups.get(p["group_id"])
+        if group is not None:
+            group.allocations.pop(p["stream_id"], None)
+        self.merges += 1
+
+    def _replay_ingest_done(self, p: dict) -> None:
+        record = self.channels.get(p["channel_id"])
+        if record is not None:
+            record.ingest_done = True
+            self._ingest_groups.pop(record.ingest_group_id, None)
+
+    def _replay_detach(self, p: dict) -> None:
+        record = self.channels.get(p["channel_id"])
+        if record is not None:
+            record.subscribers.pop(p["group_id"], None)
+        self._subscriber_groups.pop(p["group_id"], None)
+
+    def _replay_close(self, p: dict) -> None:
+        # Books and content moves were journaled separately.
+        self.drop_channel(p["channel_id"])
+        self.channels_closed += 1
+
+    REPLAY = {
+        "live-epg": lambda live, p: live.fired.add(p["index"]),
+        "live-open": _replay_open,
+        "live-tune": _replay_tune,
+        "live-rewind": _replay_rewind,
+        "live-merge": _replay_merge,
+        "live-ingest-done": _replay_ingest_done,
+        "live-detach": _replay_detach,
+        "live-close": _replay_close,
+    }

@@ -26,11 +26,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.core.admission import Allocation, allocation_state
+from repro.core.admission import Allocation, QueuedRequest
 from repro.core.database import ContentEntry
 from repro.multicast.ledger import AdmissionLedger
 from repro.net import messages as m
 from repro.net.network import MULTICAST_PREFIX
+from repro.recovery.parts import Part, from_image, image
 
 __all__ = ["MulticastConfig", "ChannelManager", "ChannelRecord", "PatchJoin"]
 
@@ -106,8 +107,10 @@ class _Batch:
     requests: List[_BatchedRequest] = field(default_factory=list)
 
 
-class ChannelManager:
+class ChannelManager(Part):
     """Batches, channels, patches and their admission bookkeeping."""
+
+    SECTIONS = ("multicast",)
 
     def __init__(self, coordinator, config: Optional[MulticastConfig] = None):
         self.coord = coordinator
@@ -317,7 +320,6 @@ class ChannelManager:
         yield from self._fire_batch(batch)
 
     def _fire_batch(self, batch: _Batch) -> Generator:
-        from repro.core.coordinator import _QueuedRequest  # cycle: late import
         from repro.failover import play_priority
 
         if self.coord.dead:
@@ -351,8 +353,8 @@ class ChannelManager:
                     parked.append(req)
             for req in parked:
                 self.fallbacks += 1
-                self.coord._enqueue(
-                    _QueuedRequest(
+                self.coord.admission.park(
+                    QueuedRequest(
                         "play", req.session_id, req.message, req.channel,
                         priority=play_priority(self.coord.db, entry),
                     )
@@ -464,15 +466,10 @@ class ChannelManager:
             group_id, stream_id, ctype.bandwidth_rate, self.sim.now,
             entry.duration_us, entry.blocks, alloc, mcast_host,
         )
-        self.channels[channel_id] = record
-        self._channel_groups[group_id] = channel_id
+        self._install(record)
         self.channels_created += 1
         self.ledger.open_channel(channel_id, entry.name, alloc.bandwidth)
-        from repro.recovery.snapshot import channel_record_state
-
-        self.coord._journal(
-            "mcast-open", {"channel": channel_record_state(record)}
-        )
+        self.coord._journal("mcast-open", {"channel": image(record)})
         msu_channel = self.coord._msu_channels[alloc.msu_name]
         msu_channel.send(
             self.coord.name,
@@ -505,14 +502,7 @@ class ChannelManager:
             entry.name, entry.type_name, tuple(port.address)
         )
         self.coord.register_group(group, session)
-        record.subscribers[group_id] = stream_id
-        record.viewers_total += 1
-        record.peak_subscribers = max(
-            record.peak_subscribers, len(record.subscribers)
-        )
-        self._subscriber_groups[group_id] = record.channel_id
-        self.ledger.note_subscriber(record.channel_id)
-        self.viewers_joined += 1
+        self._subscribe(record, group_id, stream_id)
         self.coord._journal(
             "mcast-subscribe",
             {
@@ -522,6 +512,33 @@ class ChannelManager:
             },
         )
         return group_id, stream_id
+
+    def _install(self, record: ChannelRecord) -> None:
+        self.channels[record.channel_id] = record
+        if not record.released:
+            self._channel_groups[record.group_id] = record.channel_id
+            for gid in record.subscribers:
+                self._subscriber_groups[gid] = record.channel_id
+        self._next_channel = max(self._next_channel, record.channel_id + 1)
+
+    def _subscribe(self, record: ChannelRecord, group_id: int, stream_id: int) -> None:
+        record.subscribers[group_id] = stream_id
+        record.viewers_total += 1
+        record.peak_subscribers = max(
+            record.peak_subscribers, len(record.subscribers)
+        )
+        self._subscriber_groups[group_id] = record.channel_id
+        self.ledger.note_subscriber(record.channel_id)
+        self.viewers_joined += 1
+
+    def _drop(self, record: ChannelRecord, forced: bool) -> None:
+        """Forget a channel whose books are already settled."""
+        self.channels.pop(record.channel_id, None)
+        record.released = True
+        self._channel_groups.pop(record.group_id, None)
+        for group_id in record.subscribers:
+            self._subscriber_groups.pop(group_id, None)
+        self.ledger.close_channel(record.channel_id, forced=forced)
 
     def _send_subscribe(
         self, record: ChannelRecord, group_id: int, stream_id: int,
@@ -600,7 +617,7 @@ class ChannelManager:
                 "channel_id": msg.channel_id,
                 "group_id": msg.group_id,
                 "stream_id": msg.stream_id,
-                "alloc": allocation_state(new_alloc),
+                "alloc": image(new_alloc),
             },
         )
         self.downgrades += 1
@@ -639,10 +656,7 @@ class ChannelManager:
             return
         if not record.released:
             self.coord.admission.release(record.allocation)
-            record.released = True
-        for group_id in list(record.subscribers):
-            self._subscriber_groups.pop(group_id, None)
-        self.ledger.close_channel(channel_id)
+        self._drop(record, forced=False)
         self.coord._journal(
             "mcast-close", {"channel_id": channel_id, "forced": False}
         )
@@ -662,12 +676,7 @@ class ChannelManager:
         for channel_id, record in list(self.channels.items()):
             if record.msu_name != msu_name:
                 continue
-            record.released = True  # books already zeroed wholesale
-            del self.channels[channel_id]
-            self._channel_groups.pop(record.group_id, None)
-            for group_id in list(record.subscribers):
-                self._subscriber_groups.pop(group_id, None)
-            self.ledger.close_channel(channel_id, forced=True)
+            self._drop(record, forced=True)  # books already zeroed wholesale
             self.coord._journal(
                 "mcast-close", {"channel_id": channel_id, "forced": True}
             )
@@ -690,3 +699,154 @@ class ChannelManager:
         """Disk slots multicast avoided: every viewer beyond the first
         per channel would have cost a unicast duty-cycle slot."""
         return max(0, self.viewers_joined - self.channels_created)
+
+    # -- persistence (repro.recovery.parts) ---------------------------------
+
+    def snapshot(self) -> dict:
+        return {"multicast": {
+            "next_channel": self._next_channel,
+            "channels": [image(r) for _, r in sorted(self.channels.items())],
+            "ledger": self.ledger.state(),
+        }}
+
+    def load(self, state: dict) -> None:
+        data = state.get("multicast") or {}
+        self.channels.clear()
+        self._channel_groups.clear()
+        self._subscriber_groups.clear()
+        self._next_channel = data.get("next_channel", 1)
+        for channel in data.get("channels", ()):
+            self._install(from_image(ChannelRecord, channel))
+        self.ledger.restore(data.get("ledger") or {})
+
+    def reconcile(self, by_msu: dict, outcome) -> None:
+        """Intersect channels and subscriber sets with what MSUs serve."""
+        coord = self.coord
+        channels_at = {
+            name: {entry[0]: entry for entry in report.channels}
+            for name, report in by_msu.items()
+        }
+        for channel_id in sorted(self.channels):
+            record = self.channels[channel_id]
+            if record.msu_name not in by_msu:
+                continue
+            reported = channels_at[record.msu_name].get(channel_id)
+            if reported is None:
+                # The channel drained during the outage.
+                self._drop(record, forced=True)
+                outcome.channels_dropped += 1
+                outcome.discrepancies.append(
+                    f"{record.msu_name}: channel {channel_id} not serving; closed"
+                )
+                continue
+            outcome.channels_kept += 1
+            live_subs = {gid: sid for gid, sid in reported[5]}
+            for gid in sorted(set(record.subscribers) - set(live_subs)):
+                record.subscribers.pop(gid, None)
+                self._subscriber_groups.pop(gid, None)
+                self.ledger.refund_patch(channel_id, gid)
+                outcome.subscribers_dropped += 1
+                outcome.discrepancies.append(
+                    f"{record.msu_name}: channel {channel_id} subscriber "
+                    f"{gid} gone; detached"
+                )
+            for gid in sorted(set(live_subs) - set(record.subscribers)):
+                record.subscribers[gid] = live_subs[gid]
+                self._subscriber_groups[gid] = channel_id
+                outcome.discrepancies.append(
+                    f"{record.msu_name}: channel {channel_id} subscriber "
+                    f"{gid} unknown; adopted"
+                )
+
+        # Channels the MSU serves that the Coordinator has no record of.
+        for name in sorted(by_msu):
+            for channel_id in sorted(channels_at[name]):
+                if channel_id in self.channels:
+                    continue
+                _cid, group_id, stream_id, content, disk_id, pairs = (
+                    channels_at[name][channel_id]
+                )
+                entry = coord.db.contents.get(content)
+                ctype = coord.types.get(entry.type_name) if entry is not None else None
+                rate = ctype.bandwidth_rate if ctype is not None else 0.0
+                record = ChannelRecord(
+                    channel_id=channel_id,
+                    content_name=content,
+                    msu_name=name,
+                    disk_id=disk_id,
+                    group_id=group_id,
+                    stream_id=stream_id,
+                    rate=rate,
+                    started_at=coord.sim.now,
+                    duration_us=entry.duration_us if entry is not None else 0,
+                    blocks=entry.blocks if entry is not None else 0,
+                    allocation=Allocation(name, disk_id, rate, content_name=content),
+                    mcast_host=f"{MULTICAST_PREFIX}{name}:ch{channel_id}",
+                    subscribers={gid: sid for gid, sid in pairs},
+                )
+                self._install(record)
+                self.ledger.open_channel(channel_id, content, rate)
+                coord.tables.claim_ids(group_id, stream_id)
+                outcome.channels_adopted += 1
+                outcome.discrepancies.append(
+                    f"{name}: unknown channel {channel_id} ({content!r}); adopted"
+                )
+
+    def _replay_open(self, p: dict) -> None:
+        record = from_image(ChannelRecord, p["channel"])
+        self._install(record)
+        self.channels_created += 1
+        self.ledger.open_channel(
+            record.channel_id, record.content_name, record.allocation.bandwidth
+        )
+        self.coord.tables.claim_ids(record.group_id, record.stream_id)
+
+    def _replay_subscribe(self, p: dict) -> None:
+        record = self.channels.get(p["channel_id"])
+        if record is not None:
+            self._subscribe(record, p["group_id"], p["stream_id"])
+
+    def _replay_merge(self, p: dict) -> None:
+        group = self.coord.groups.get(p["group_id"])
+        if group is not None:
+            group.allocations.pop(p["stream_id"], None)
+        if self.ledger.refund_patch(p["channel_id"], p["group_id"]):
+            self.merges += 1
+
+    def _replay_downgrade(self, p: dict) -> None:
+        group_id = p["group_id"]
+        self.ledger.refund_patch(p["channel_id"], group_id)
+        record = self.channels.get(p["channel_id"])
+        if record is not None:
+            record.subscribers.pop(group_id, None)
+        self._subscriber_groups.pop(group_id, None)
+        group = self.coord.groups.get(group_id)
+        if group is not None:
+            group.allocations[p["stream_id"]] = from_image(Allocation, p["alloc"])
+        self.downgrades += 1
+
+    def _replay_detach(self, p: dict) -> None:
+        record = self.channels.get(p["channel_id"])
+        if record is not None:
+            record.subscribers.pop(p["group_id"], None)
+        self._subscriber_groups.pop(p["group_id"], None)
+        self.ledger.refund_patch(p["channel_id"], p["group_id"])
+
+    def _replay_close(self, p: dict) -> None:
+        record = self.channels.get(p["channel_id"])
+        if record is not None:
+            self._drop(record, forced=p.get("forced", False))
+        else:
+            self.ledger.close_channel(p["channel_id"], forced=p.get("forced", False))
+
+    REPLAY = {
+        "mcast-open": _replay_open,
+        "mcast-subscribe": _replay_subscribe,
+        "mcast-patch": lambda mgr, p: mgr.ledger.charge_patch(
+            p["channel_id"], p["group_id"], p["rate"], p.get("cache_covered", False)
+        ),
+        "mcast-merge": _replay_merge,
+        "mcast-downgrade": _replay_downgrade,
+        "mcast-detach": _replay_detach,
+        "mcast-close": _replay_close,
+    }

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
+from repro.recovery.parts import from_image, image
+
 __all__ = ["AdmissionLedger", "ChannelLedger"]
 
 
@@ -154,6 +156,29 @@ class AdmissionLedger:
                 f"{self.patches_charged} charges"
             )
         return problems
+
+    def state(self) -> dict:
+        """Snapshot image of the ledger (the multicast section carries it)."""
+        return {
+            "channels_opened": self.channels_opened,
+            "channels_closed": self.channels_closed,
+            "patches_charged": self.patches_charged,
+            "patches_refunded": self.patches_refunded,
+            "patches_cache_covered": self.patches_cache_covered,
+            "channels": [image(e) for _, e in sorted(self.channels.items())],
+        }
+
+    def restore(self, state: dict) -> None:
+        """Replace the ledger with a :meth:`state` image."""
+        self.channels_opened = state.get("channels_opened", 0)
+        self.channels_closed = state.get("channels_closed", 0)
+        self.patches_charged = state.get("patches_charged", 0)
+        self.patches_refunded = state.get("patches_refunded", 0)
+        self.patches_cache_covered = state.get("patches_cache_covered", 0)
+        self.channels.clear()
+        for data in state.get("channels", ()):
+            entry = from_image(ChannelLedger, data)
+            self.channels[entry.channel_id] = entry
 
     def summary(self) -> Tuple[int, int, int, int]:
         return (

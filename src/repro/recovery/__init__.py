@@ -8,8 +8,12 @@ from repro.recovery.reconcile import (
     rebuild_books,
     reconcile,
 )
-from repro.recovery.replay import apply_record, recover
-from repro.recovery.snapshot import restore_state, snapshot_state
+from repro.recovery.state import (
+    apply_record,
+    recover,
+    restore_state,
+    snapshot_state,
+)
 
 __all__ = [
     "RecoveryConfig",

@@ -5,14 +5,11 @@ contents, sessions, parked tickets.  For what is *streaming right now*
 the MSUs are authoritative: terminations, patch drains and downgrades
 that happened while the Coordinator was dead were sent into a closed
 control channel and are gone forever.  So every discrepancy resolves
-**MSU-wins**:
-
-* a coordinator-side stream the MSU is not serving is dropped;
-* an MSU-side stream the Coordinator has no record of is adopted as an
-  orphan group (it keeps playing; its termination will clean it up);
-* multicast channels and their subscriber sets are intersected the same
-  way; pins follow the cache's reported reality; disk free-block counts
-  come straight from the allocators.
+**MSU-wins**, each part of the Coordinator resolving its own
+(:meth:`~repro.recovery.parts.Part.reconcile`): free-block counts and
+prefix pins come from the MSUs, coordinator-side streams the MSU is not
+serving are dropped and MSU-side streams nobody recorded are adopted,
+and channels and their subscriber sets are intersected the same way.
 
 Afterwards :func:`rebuild_books` recomputes every admission book from
 the surviving allocations — charge by charge, in deterministic order —
@@ -24,14 +21,12 @@ asserts byte-identical JSON between the two).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-from repro.core.admission import Allocation
-from repro.failover.migrator import StreamMeta
-from repro.net import messages as m
+from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.admission import Allocation
     from repro.core.coordinator import Coordinator
+    from repro.net.messages import StateReport
 
 __all__ = ["RecoveryOutcome", "reconcile", "rebuild_books", "expected_books",
            "books_state"]
@@ -60,7 +55,7 @@ class RecoveryOutcome:
 
 def reconcile(
     coord: "Coordinator",
-    reports: Sequence[m.StateReport],
+    reports: Sequence["StateReport"],
     missing: Sequence[str] = (),
 ) -> RecoveryOutcome:
     """Resolve replayed state against MSU truth; returns the outcome."""
@@ -72,363 +67,35 @@ def reconcile(
     for name in sorted(missing):
         outcome.discrepancies.append(f"{name}: no StateReport; declared failed")
         coord._msu_failed(name, reason="no-state-report")
-
     by_msu = {report.msu_name: report for report in reports}
-    _reconcile_disks(coord, reports)
-    _reconcile_streams(coord, by_msu, outcome)
-    _reconcile_channels(coord, by_msu, outcome)
-    _reconcile_live(coord, by_msu, outcome)
-    _reconcile_pins(coord, reports, outcome)
-    if coord.placement is not None:
-        outcome.discrepancies.extend(coord.placement.reconcile_edges())
+    for part in coord.parts:
+        part.reconcile(by_msu, outcome)
     rebuild_books(coord)
     outcome.tickets_recovered = len(coord.admission.queue)
     return outcome
 
 
-def _reconcile_disks(coord, reports) -> None:
-    """Free-block truth comes straight from the MSU allocators."""
-    for report in reports:
-        state = coord.db.msus.get(report.msu_name)
-        if state is None:
-            state = coord.db.register_msu(
-                report.msu_name,
-                [(disk_id, free) for disk_id, free in report.disks],
-                report.cache_bps,
-            )
-            continue
-        state.available = True
-        state.cache_capacity = report.cache_bps
-        for disk_id, free in report.disks:
-            disk = state.disks.get(disk_id)
-            if disk is not None:
-                disk.free_blocks = free
-
-
-def _reconcile_streams(coord, by_msu, outcome) -> None:
-    from repro.core.coordinator import GroupRecord
-
-    streams_at: Dict[str, Dict[Tuple[int, int], Tuple[str, str, str, float]]] = {}
-    subscribers_at: Dict[str, Dict[Tuple[int, int], int]] = {}
-    for name, report in by_msu.items():
-        streams_at[name] = {
-            (gid, sid): (content, disk_id, kind, rate)
-            for gid, sid, content, disk_id, kind, rate in report.streams
-        }
-        subs: Dict[Tuple[int, int], int] = {}
-        for channel_id, _gid, _sid, _content, _disk, pairs in report.channels:
-            for sub_gid, sub_sid in pairs:
-                subs[(sub_gid, sub_sid)] = channel_id
-        # Live channels report separately; fold their fan-out streams and
-        # viewer memberships in so those groups are kept (or adopted) by
-        # the same MSU-wins rules as everything else.
-        for channel_id, gid, sid, content, disk_id, rate, pairs in (
-            report.live_channels
-        ):
-            streams_at[name][(gid, sid)] = (content, disk_id, "play", rate)
-            for sub_gid, sub_sid in pairs:
-                subs[(sub_gid, sub_sid)] = channel_id
-        subscribers_at[name] = subs
-
-    # Drop coordinator-side streams the MSU is not serving.
+def _held(coord: "Coordinator") -> Iterator["Allocation"]:
+    """Every surviving allocation: groups by id, streams by id, then
+    unreleased multicast channels by id."""
     for group in sorted(coord.groups.values(), key=lambda g: g.group_id):
-        if group.msu_name not in by_msu:
-            continue
-        serving = streams_at[group.msu_name]
-        subs = subscribers_at[group.msu_name]
-        stream_ids = (
-            set(group.allocations) | set(group.streams) | set(group.recordings)
-        )
-        for stream_id in sorted(stream_ids):
-            key = (group.group_id, stream_id)
-            if key in serving or key in subs:
-                outcome.streams_kept += 1
-                continue
-            group.allocations.pop(stream_id, None)
-            group.streams.pop(stream_id, None)
-            recording = group.recordings.pop(stream_id, None)
-            outcome.streams_dropped += 1
-            what = "recording" if recording else "stream"
-            outcome.discrepancies.append(
-                f"{group.msu_name}: {what} {group.group_id}/{stream_id} "
-                f"not serving; dropped"
-            )
-        if not group.allocations and not group.streams and not group.recordings:
-            coord.groups.pop(group.group_id, None)
-            session = coord.sessions.lookup(group.session_id)
-            if session is not None:
-                session.drop_group(group.group_id)
-
-    # Adopt MSU-side streams the Coordinator has no record of.
-    known = set()
-    for group in coord.groups.values():
-        for stream_id in (
-            set(group.allocations) | set(group.streams) | set(group.recordings)
-        ):
-            known.add((group.group_id, stream_id))
-    for name in sorted(by_msu):
-        for key in sorted(streams_at[name]):
-            if key in known:
-                continue
-            group_id, stream_id = key
-            content, disk_id, kind, rate = streams_at[name][key]
-            entry = coord.db.contents.get(content)
-            group = coord.groups.get(group_id)
-            if group is None:
-                group = GroupRecord(group_id, 0, name)
-                coord.groups[group_id] = group
-            group.allocations[stream_id] = Allocation(
-                name, disk_id, rate,
-                content_name=content if entry is not None else "",
-            )
-            if kind == "record":
-                group.recordings[stream_id] = (
-                    content, entry.type_name if entry is not None else ""
-                )
-            else:
-                group.streams[stream_id] = StreamMeta(
-                    content, entry.type_name if entry is not None else "", ("", 0)
-                )
-            coord._next_group = max(coord._next_group, group_id + 1)
-            coord._next_stream = max(coord._next_stream, stream_id + 1)
-            outcome.streams_adopted += 1
-            outcome.discrepancies.append(
-                f"{name}: unknown {kind} {group_id}/{stream_id} "
-                f"({content!r}); adopted"
-            )
-
-
-def _reconcile_channels(coord, by_msu, outcome) -> None:
+        for stream_id in sorted(group.allocations):
+            yield group.allocations[stream_id]
     manager = coord.channel_manager
-    if manager is None:
-        return
-    channels_at: Dict[str, Dict[int, tuple]] = {}
-    for name, report in by_msu.items():
-        channels_at[name] = {entry[0]: entry for entry in report.channels}
-
-    for channel_id in sorted(manager.channels):
-        record = manager.channels[channel_id]
-        if record.msu_name not in by_msu:
-            continue
-        reported = channels_at[record.msu_name].get(channel_id)
-        if reported is None:
-            # The channel drained during the outage.
-            manager.channels.pop(channel_id, None)
-            record.released = True
-            manager._channel_groups.pop(record.group_id, None)
-            for gid in record.subscribers:
-                manager._subscriber_groups.pop(gid, None)
-            manager.ledger.close_channel(channel_id, forced=True)
-            outcome.channels_dropped += 1
-            outcome.discrepancies.append(
-                f"{record.msu_name}: channel {channel_id} not serving; closed"
-            )
-            continue
-        outcome.channels_kept += 1
-        live_subs = {gid: sid for gid, sid in reported[5]}
-        for gid in sorted(set(record.subscribers) - set(live_subs)):
-            record.subscribers.pop(gid, None)
-            manager._subscriber_groups.pop(gid, None)
-            manager.ledger.refund_patch(channel_id, gid)
-            outcome.subscribers_dropped += 1
-            outcome.discrepancies.append(
-                f"{record.msu_name}: channel {channel_id} subscriber "
-                f"{gid} gone; detached"
-            )
-        for gid in sorted(set(live_subs) - set(record.subscribers)):
-            record.subscribers[gid] = live_subs[gid]
-            manager._subscriber_groups[gid] = channel_id
-            outcome.discrepancies.append(
-                f"{record.msu_name}: channel {channel_id} subscriber "
-                f"{gid} unknown; adopted"
-            )
-
-    # Channels the MSU serves that the Coordinator has no record of.
-    for name in sorted(by_msu):
-        for channel_id in sorted(channels_at[name]):
-            if channel_id in manager.channels:
-                continue
-            _cid, group_id, stream_id, content, disk_id, pairs = (
-                channels_at[name][channel_id]
-            )
-            entry = coord.db.contents.get(content)
-            ctype = coord.types.get(entry.type_name) if entry is not None else None
-            rate = ctype.bandwidth_rate if ctype is not None else 0.0
-            from repro.multicast.channel import ChannelRecord
-            from repro.net.network import MULTICAST_PREFIX
-
-            record = ChannelRecord(
-                channel_id=channel_id,
-                content_name=content,
-                msu_name=name,
-                disk_id=disk_id,
-                group_id=group_id,
-                stream_id=stream_id,
-                rate=rate,
-                started_at=coord.sim.now,
-                duration_us=entry.duration_us if entry is not None else 0,
-                blocks=entry.blocks if entry is not None else 0,
-                allocation=Allocation(name, disk_id, rate, content_name=content),
-                mcast_host=f"{MULTICAST_PREFIX}{name}:ch{channel_id}",
-            )
-            for gid, sid in pairs:
-                record.subscribers[gid] = sid
-                manager._subscriber_groups[gid] = channel_id
-            manager.channels[channel_id] = record
-            manager._channel_groups[group_id] = channel_id
-            manager.ledger.open_channel(channel_id, content, rate)
-            manager._next_channel = max(manager._next_channel, channel_id + 1)
-            coord._next_group = max(coord._next_group, group_id + 1)
-            coord._next_stream = max(coord._next_stream, stream_id + 1)
-            outcome.channels_adopted += 1
-            outcome.discrepancies.append(
-                f"{name}: unknown channel {channel_id} ({content!r}); adopted"
-            )
-
-
-def _reconcile_live(coord, by_msu, outcome) -> None:
-    """MSU-wins for live channels: the broadcast the MSU runs is real."""
-    manager = coord.live_manager
-    if manager is None:
-        return
-    live_at: Dict[str, Dict[int, tuple]] = {}
-    for name, report in by_msu.items():
-        live_at[name] = {entry[0]: entry for entry in report.live_channels}
-
-    for channel_id in sorted(manager.channels):
-        record = manager.channels[channel_id]
-        if record.msu_name not in by_msu:
-            continue
-        reported = live_at[record.msu_name].get(channel_id)
-        if reported is None:
-            # The broadcast ended (or died) during the outage.  Its
-            # groups were already dropped stream-by-stream above; this
-            # only forgets the manager record.
-            manager.drop_channel(channel_id)
-            manager.channels_closed += 1
-            outcome.channels_dropped += 1
-            outcome.discrepancies.append(
-                f"{record.msu_name}: live channel {channel_id} off the "
-                f"air; closed"
-            )
-            continue
-        outcome.channels_kept += 1
-        live_subs = {gid: sid for gid, sid in reported[6]}
-        for gid in sorted(set(record.subscribers) - set(live_subs)):
-            record.subscribers.pop(gid, None)
-            manager._subscriber_groups.pop(gid, None)
-            outcome.subscribers_dropped += 1
-            outcome.discrepancies.append(
-                f"{record.msu_name}: live channel {channel_id} viewer "
-                f"{gid} gone; detached"
-            )
-        for gid in sorted(set(live_subs) - set(record.subscribers)):
-            record.subscribers[gid] = live_subs[gid]
-            manager._subscriber_groups[gid] = channel_id
-            outcome.discrepancies.append(
-                f"{record.msu_name}: live channel {channel_id} viewer "
-                f"{gid} unknown; adopted"
-            )
-        # An ingest that signed off while the Coordinator was dead.
-        streams = {
-            (gid, sid)
-            for gid, sid, _c, _d, _k, _r in by_msu[record.msu_name].streams
-        }
-        if (
-            not record.ingest_done
-            and (record.ingest_group_id, record.ingest_stream_id)
-            not in streams
-        ):
-            record.ingest_done = True
-            manager._ingest_groups.pop(record.ingest_group_id, None)
-            outcome.discrepancies.append(
-                f"{record.msu_name}: live channel {channel_id} ingest "
-                f"finished during outage"
-            )
-
-    # Broadcasts the MSU runs that the Coordinator has no record of.
-    for name in sorted(by_msu):
-        records_by_kind = {
-            (gid, sid): (content, kind)
-            for gid, sid, content, _d, kind, _r in by_msu[name].streams
-        }
-        for channel_id in sorted(live_at[name]):
-            if channel_id in manager.channels:
-                continue
-            _cid, group_id, stream_id, content, disk_id, rate, pairs = (
-                live_at[name][channel_id]
-            )
-            entry = coord.db.contents.get(content)
-            ingest_gid, ingest_sid = 0, -1
-            for (gid, sid), (c, kind) in sorted(records_by_kind.items()):
-                if kind == "record" and c == content:
-                    ingest_gid, ingest_sid = gid, sid
-                    break
-            from repro.live.manager import LiveChannelRecord
-            from repro.net.network import MULTICAST_PREFIX
-
-            record = LiveChannelRecord(
-                channel_id=channel_id,
-                content_name=content,
-                type_name=entry.type_name if entry is not None else "",
-                msu_name=name,
-                disk_id=disk_id,
-                group_id=group_id,
-                stream_id=stream_id,
-                ingest_group_id=ingest_gid,
-                ingest_stream_id=ingest_sid,
-                rate=rate,
-                started_at=coord.sim.now,
-                ring_blocks=0,
-                dvr=False,
-                mcast_host=f"{MULTICAST_PREFIX}{name}:live{channel_id}",
-                source_host="",
-            )
-            record.ingest_done = ingest_sid < 0
-            for gid, sid in pairs:
-                record.subscribers[gid] = sid
-            manager._install(record)
-            manager.channels_opened += 1
-            coord._next_group = max(coord._next_group, group_id + 1)
-            coord._next_stream = max(coord._next_stream, stream_id + 1)
-            outcome.channels_adopted += 1
-            outcome.discrepancies.append(
-                f"{name}: unknown live channel {channel_id} ({content!r}); "
-                f"adopted"
-            )
-
-
-def _reconcile_pins(coord, reports, outcome) -> None:
-    """A title is pinned iff its home MSU's cache says so."""
-    for report in reports:
-        pinned = {
-            (disk_id, content)
-            for disk_id, content, pages in report.pins
-            if pages > 0
-        }
-        for entry in coord.db.contents.values():
-            if entry.msu_name != report.msu_name:
-                continue
-            key = (entry.disk_id, entry.name)
-            if entry.prefix_pinned and key not in pinned:
-                entry.prefix_pinned = False
-                outcome.pins_reset += 1
-                outcome.discrepancies.append(
-                    f"{report.msu_name}: prefix of {entry.name!r} not pinned; "
-                    f"flag reset"
-                )
-            elif not entry.prefix_pinned and key in pinned:
-                entry.prefix_pinned = True
+    if manager is not None:
+        for channel_id in sorted(manager.channels):
+            record = manager.channels[channel_id]
+            if not record.released:
+                yield record.allocation
 
 
 def rebuild_books(coord: "Coordinator") -> None:
     """Recompute every admission book from the surviving allocations.
 
-    Charges are re-applied in deterministic order (groups by id, streams
-    by id, then channels by id) so the result is bit-identical to
-    :func:`expected_books`.  Free-block counts are *not* touched: they
-    were just set from allocator truth, which already accounts for
-    recording reservations MSU-side.
+    Charges are re-applied in :func:`_held` order so the result is
+    bit-identical to :func:`expected_books`.  Free-block counts are *not*
+    touched: they were just set from allocator truth, which already
+    accounts for recording reservations MSU-side.
     """
     db = coord.db
     for state in db.msus.values():
@@ -443,17 +110,8 @@ def rebuild_books(coord: "Coordinator") -> None:
         # Escrow spends re-derive through the observer as each charge
         # below re-applies; grants stay as replayed (they are durable).
         coord.shards.reset_spent()
-    for group in sorted(coord.groups.values(), key=lambda g: g.group_id):
-        for stream_id in sorted(group.allocations):
-            coord.admission.apply(
-                group.allocations[stream_id], reserve_blocks=False
-            )
-    manager = coord.channel_manager
-    if manager is not None:
-        for channel_id in sorted(manager.channels):
-            record = manager.channels[channel_id]
-            if not record.released:
-                coord.admission.apply(record.allocation, reserve_blocks=False)
+    for alloc in _held(coord):
+        coord.admission.apply(alloc, reserve_blocks=False)
 
 
 def books_state(coord: "Coordinator") -> dict:
@@ -493,8 +151,7 @@ def expected_books(coord: "Coordinator") -> dict:
     streams: Dict[str, int] = {}
     disk_bw: Dict[Tuple[str, str], float] = {}
     active: Dict[str, Dict[Tuple[str, str], int]] = {}
-
-    def _apply(alloc: Allocation) -> None:
+    for alloc in _held(coord):
         delivery[alloc.msu_name] = (
             delivery.get(alloc.msu_name, 0.0) + alloc.bandwidth
         )
@@ -510,16 +167,6 @@ def expected_books(coord: "Coordinator") -> dict:
             counts = active.setdefault(alloc.content_name, {})
             loc = (alloc.msu_name, alloc.disk_id)
             counts[loc] = counts.get(loc, 0) + 1
-
-    for group in sorted(coord.groups.values(), key=lambda g: g.group_id):
-        for stream_id in sorted(group.allocations):
-            _apply(group.allocations[stream_id])
-    manager = coord.channel_manager
-    if manager is not None:
-        for channel_id in sorted(manager.channels):
-            record = manager.channels[channel_id]
-            if not record.released:
-                _apply(record.allocation)
 
     state: dict = {"msus": {}, "active": {}}
     for name in sorted(coord.db.msus):

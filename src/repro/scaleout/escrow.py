@@ -38,6 +38,8 @@ from __future__ import annotations
 import zlib
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.recovery.parts import Part
+
 __all__ = ["EscrowBook", "ShardSet", "shard_for"]
 
 EPS = 1e-6
@@ -69,7 +71,7 @@ class EscrowBook:
         return self.granted[shard] - self.spent[shard]
 
 
-class ShardSet:
+class ShardSet(Part):
     """N admission shards over one AdminDatabase's disk books.
 
     The set lives inside whichever Coordinator currently leads; the
@@ -79,6 +81,8 @@ class ShardSet:
     applied (grants arrive as replayed records, strictly before the
     charges that spend them).
     """
+
+    SECTIONS = ("shards",)
 
     def __init__(
         self,
@@ -293,6 +297,8 @@ class ShardSet:
             book.granted[payload["victim"]] -= payload["amount"]
             book.granted[payload["shard"]] += payload["amount"]
 
+    REPLAY = {"shard-grant": apply_grant, "shard-steal": apply_steal}
+
     # -- parallel admission service model --------------------------------------
 
     def admission_delay(self, shard: int, now: float) -> float:
@@ -340,6 +346,14 @@ class ShardSet:
             book.granted = [float(g) for g in data["granted"]]
             book.spent = [float(s) for s in data["spent"]]
             self.books[(book.msu_name, book.disk_id)] = book
+
+    def snapshot(self) -> dict:
+        return {"shards": self.state()}
+
+    def load(self, state: dict) -> None:
+        # No section (a snapshot from before the escrow split) restores
+        # empty escrow, like a shard-count mismatch.
+        self.restore(state.get("shards") or {})
 
     def audit(self) -> List[str]:
         """Escrow anomalies that must never occur, as strings."""

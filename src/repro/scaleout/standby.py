@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, List, Optional
 
 from repro.failover.heartbeat import HeartbeatConfig, HeartbeatMonitor
-from repro.recovery.replay import apply_record
-from repro.recovery.snapshot import restore_state
+from repro.recovery import apply_record, restore_state
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.cluster import CalliopeCluster
@@ -82,32 +81,14 @@ class StandbyCoordinator:
         leader_heartbeat: Optional[HeartbeatConfig] = None,
         name: str = "coordinator-standby",
     ):
-        from repro.core.coordinator import Coordinator  # cycle: late import
-
         if cluster.journal is None:
             raise ValueError("warm standby requires the recovery journal")
         self.cluster = cluster
         self.sim = cluster.sim
         self.poll = poll
-        config = cluster.config
-        self.shadow: "Coordinator" = Coordinator(
-            self.sim, types=config.types,
-            block_size=config.ibtree_config.data_page_size,
-            name=name,
-            failover=config.failover, multicast=config.multicast,
-            edge=config.edge, live=config.live,
-            standby=True,
+        self.shadow: "Coordinator" = cluster.build_coordinator(
+            name=name, standby=True
         )
-        scaleout = getattr(config, "scaleout", None)
-        if scaleout is not None:
-            shards = self.shadow.enable_shards(
-                scaleout.shards,
-                refill_fraction=scaleout.refill_fraction,
-                service_time=scaleout.admit_service_time,
-            )
-            # Shadowing: escrow records arrive from the tail, never
-            # originate here.  activate() clears the flag at takeover.
-            shards.replaying = True
         #: Leader liveness detector, fed by the cluster's beacon.
         self.leader_monitor = HeartbeatMonitor(
             self.sim,

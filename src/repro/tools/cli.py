@@ -409,12 +409,36 @@ def follow_journal(
 
 
 def _replay_journal(store):
-    """Cold-start a throwaway Coordinator from ``store``; returns it."""
+    """Cold-start a throwaway Coordinator from ``store``; returns it.
+
+    The Coordinator gets every subsystem the journal names, by snapshot
+    section or record kind, so nothing is dropped on the way through.
+    ``recover`` raises ValueError for any state it still cannot place
+    (escrow records without the snapshot that fixes the shard count).
+    """
     from repro.core.coordinator import Coordinator
+    from repro.edge import EdgeConfig
+    from repro.live import LiveConfig
+    from repro.multicast import MulticastConfig
     from repro.recovery import recover
     from repro.sim import Simulator
 
-    coord = Coordinator(Simulator())
+    snapshot = store.snapshot or {}
+    kinds = set(store.counts_by_kind())
+
+    def named(section: str, prefix: str):
+        return bool(snapshot.get(section)) or any(
+            kind.startswith(prefix) for kind in kinds
+        )
+
+    coord = Coordinator(
+        Simulator(),
+        multicast=MulticastConfig() if named("multicast", "mcast-") else None,
+        edge=EdgeConfig() if named("edge", "edge-") else None,
+        live=LiveConfig() if named("live", "live-") else None,
+    )
+    if snapshot.get("shards"):
+        coord.enable_shards(snapshot["shards"]["n"])
     coord.replayed_records = recover(coord, store)
     return coord
 
@@ -450,14 +474,18 @@ def recovery_main(argv) -> int:
         return 0
     if not (args.replay or args.compact):
         return 0
-    coord = _replay_journal(store)
+    try:
+        coord = _replay_journal(store)
+    except ValueError as exc:
+        print(f"cannot replay {args.journal}: {exc}")
+        return 1
     db = coord.db
     print(f"replayed {coord.replayed_records} records:")
     print(f"  MSUs: {len(db.msus)} "
           f"({sum(1 for s in db.msus.values() if s.available)} available)")
     print(f"  content entries: {len(db.contents)}")
     print(f"  customers: {len(db.customers)}")
-    print(f"  sessions: {len(coord.sessions._sessions)}")
+    print(f"  sessions: {len(coord.sessions)}")
     print(f"  stream groups: {len(coord.groups)}")
     print(f"  queued tickets: {len(coord.admission.queue)}")
     if args.compact:

@@ -479,7 +479,7 @@ def check_edge_books(cluster) -> List[str]:
         # direct stream while the edge still fills in the missed prefix.)
         # During an outage the books are frozen with the dead process,
         # and during recovery the grace window legitimately holds
-        # replayed serves until edges re-hello or reconcile_edges
+        # replayed serves until edges re-hello or the placement reconcile
         # refunds them — skip the staleness check in both states.
         view = placement.edges.get(serve.edge_name)
         if settled and (view is None or not view.attached):
