@@ -4,10 +4,12 @@ import pytest
 
 from repro.clients import Client
 from repro.core import CalliopeCluster, ClusterConfig
+from repro.core.coordinator import Coordinator
 from repro.media import MpegEncoder, packetize_cbr
 from repro.sim import Simulator
 from repro.storage import IBTreeConfig
 from repro.units import MPEG1_RATE
+from repro.verify.invariants import builtin_registry
 
 SMALL = IBTreeConfig(data_page_size=16 * 1024, internal_page_size=1024, max_keys=32)
 
@@ -93,3 +95,115 @@ class TestCrash:
         cluster.msus[0].crash()  # then the machine dies too
         sim.run(until=sim.now + 0.2)
         assert not cluster.coordinator.db.msus["msu0"].available
+
+
+class TestCrashWhileScheduling:
+    """The MSU dies inside the Coordinator's SCHEDULE_CPU hold.
+
+    ``_play``/``_record`` have already placed the request on the MSU and
+    are charging the CPU to send its schedule message when the failure
+    lands; the group must not be registered on the dead MSU.  The request
+    is parked again, so the run ends as if the crash came just before.
+    """
+
+    def _scenario(self, sim, cluster, kind):
+        client = Client(sim, cluster, "c0")
+        views = []
+
+        def scenario():
+            yield from client.open_session("user")
+            yield from client.register_port("tv", "mpeg1")
+            if kind == "play":
+                view = yield from client.play("movie", "tv")
+            else:
+                view = yield from client.record("rec", "mpeg1", "tv", 5.0)
+            views.append(view)
+            yield from client.wait_ready(view)
+            if kind == "record":
+                client.quit(view.group_id)
+
+        sim.process(scenario(), name="scenario")
+        return views
+
+    def _holds(self, cluster):
+        """Record the start of every SCHEDULE_CPU hold on the Coordinator."""
+        coord = cluster.coordinator
+        cpu = coord.machine.cpu
+        execute, starts = cpu.execute, []
+
+        def timed(duration):
+            if duration == coord.SCHEDULE_CPU:
+                starts.append(coord.sim.now)
+            return execute(duration)
+
+        cpu.execute = timed
+        return starts
+
+    def _failures(self, cluster):
+        coord = cluster.coordinator
+        failed, times = coord._msu_failed, []
+
+        def timed(*args, **kwargs):
+            times.append(coord.sim.now)
+            return failed(*args, **kwargs)
+
+        coord._msu_failed = timed
+        return times
+
+    def crash_instant(self, kind):
+        """A crash instant whose detection lands mid-hold, from two probes:
+        when the hold starts, and how long the crash takes to detect."""
+        sim, cluster, _ = build()
+        holds = self._holds(cluster)
+        self._scenario(sim, cluster, kind)
+        sim.run(until=1.0)
+        (hold,) = holds
+        sim, cluster, _ = build()
+        detected = self._failures(cluster)
+        sim.run(until=hold)
+        cluster.fail_msu(0, crash=True)
+        sim.run(until=1.0)
+        latency = detected[0] - hold
+        return hold + Coordinator.SCHEDULE_CPU / 2 - latency
+
+    def run(self, kind, crash_at):
+        sim, cluster, _ = build()
+        holds = self._holds(cluster)
+        detected = self._failures(cluster)
+        views = self._scenario(sim, cluster, kind)
+        sim.run(until=crash_at)
+        cluster.fail_msu(0, crash=True)
+        sim.run(until=1.0)
+        cluster.rejoin_msu(0)
+        sim.run(until=41.0)
+        return cluster, views, holds, detected
+
+    @pytest.mark.parametrize("kind", ["play", "record"])
+    def test_failure_inside_the_hold_parks_the_request(self, kind):
+        crash_at = self.crash_instant(kind)
+        cluster, views, holds, detected = self.run(kind, crash_at)
+        # The failure really landed inside the first hold.
+        assert holds[0] < detected[0] < holds[0] + Coordinator.SCHEDULE_CPU
+        coord = cluster.coordinator
+        (view,) = views
+        assert view.ready_event.triggered
+        assert view.closed
+        assert coord.db.msus["msu0"].available
+        assert builtin_registry().check(cluster, "drain") == []
+
+    @pytest.mark.parametrize("kind", ["play", "record"])
+    def test_same_end_as_a_crash_before_the_hold(self, kind):
+        crash_at = self.crash_instant(kind)
+        inside, _, _, _ = self.run(kind, crash_at)
+        # Detected half a hold before the hold: the request parks unplaced.
+        before, _, _, _ = self.run(kind, crash_at - Coordinator.SCHEDULE_CPU)
+        for cluster in (inside, before):
+            assert not cluster.coordinator.groups
+            assert not cluster.coordinator.admission.queue
+        # The parked retry counts its play once, and a retried record
+        # leaves the same table of contents.
+        played = [
+            {name: e.play_count for name, e in c.coordinator.db.contents.items()}
+            for c in (inside, before)
+        ]
+        assert played[0] == played[1]
