@@ -97,6 +97,8 @@ class PlacementManager(Part):
         self.patch_serves = 0
         self.interval_serves = 0
         self.plan_misses = 0
+        coordinator.install(m.EdgeReport, self.edge_report)
+        coordinator.install(m.EdgeServeDone, self.serve_done)
         if not getattr(coordinator, "standby", False):
             self.sim.process(self._loop(), name="coord.placement")
 
@@ -431,10 +433,15 @@ class PlacementManager(Part):
             self.recent.pop(name, None)
             self.coord._journal("edge-down", {"edge": name})
 
-    def edge_down(self, edge_name: str) -> None:
-        """The edge's control connection broke: everything it held is gone."""
+    def protected_groups(self) -> set:
+        """Groups with an edge serve in flight settle via EdgeServeDone."""
+        return {gid for (gid, _sid) in self.serves}
+
+    def edge_down(self, edge_name: str, channel) -> None:
+        """The edge's current control channel broke (a stale one closing
+        after a re-hello does not count): everything it held is gone."""
         view = self.edges.get(edge_name)
-        if view is None or view.channel is None:
+        if view is None or view.channel is not channel:
             return
         view.channel = None
         view.pinned.clear()

@@ -136,6 +136,7 @@ class LiveManager(Part):
         self.rewinds = 0
         self.rewind_hits = 0
         self.merges = 0
+        coordinator.install(m.LiveRewound, self.rewound, held=True)
         if not getattr(coordinator, "standby", False):
             for index, spec in enumerate(config.lineup):
                 self.sim.process(self._epg(index, spec), name=f"epg.{spec.name}")
@@ -497,6 +498,11 @@ class LiveManager(Part):
         self.coord._trace("live-close", record.content_name,
                           f"channel={channel_id} forced={forced} "
                           f"viewers={record.viewers_total}")
+
+    def protected_groups(self) -> set:
+        """Fan-out, ingest and viewer groups settle via live messages."""
+        groups = set(self._channel_groups) | set(self._ingest_groups)
+        return groups | set(self._subscriber_groups)
 
     def msu_failed(self, msu_name: str) -> None:
         """Every channel on a dead MSU went dark with it."""

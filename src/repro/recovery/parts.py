@@ -1,19 +1,23 @@
-"""The persistence seam: parts of the Coordinator and their state images.
+"""The subsystem seam: parts of the Coordinator and their state images.
 
 Every stateful piece of the Coordinator — the admin database, the
 admission books and queue, the session/group tables, and each optional
-subsystem manager — is a :class:`Part`.  A part owns three things, next
-to the state they describe:
+subsystem manager — is a :class:`Part`.  A part owns, next to its state:
 
-* ``SECTIONS`` — the top-level keys of the snapshot it writes
-  (:meth:`Part.snapshot`) and replaces on restore (:meth:`Part.load`);
-* ``REPLAY`` — its journal record kinds, ``{kind: handler(part, payload)}``;
-* :meth:`Part.reconcile` — its MSU-wins pass after a cold restart, where
-  the MSUs hold a truth to reconcile against.
+* persistence — ``SECTIONS``, the snapshot keys it writes
+  (:meth:`Part.snapshot`) and replaces (:meth:`Part.load`); ``REPLAY``,
+  its journal kinds as ``{kind: handler(part, payload)}``; and
+  :meth:`Part.reconcile`, its MSU-wins pass after a cold restart;
+* messages — the MSU/edge kinds it serves, set up by
+  ``coord.install(kind, handler)`` when it is built;
+* lifecycle — the no-op hooks :meth:`Part.msu_failed`,
+  :meth:`Part.handle_terminated`, :meth:`Part.protected_groups` and
+  :meth:`Part.activate`.
 
 The Coordinator keeps the parts it actually has in ``coord.parts``;
-:mod:`repro.recovery.state` and :mod:`repro.recovery.reconcile` only walk
-that list.
+:mod:`repro.recovery.state`, :mod:`repro.recovery.reconcile` and the
+Coordinator's failure, termination, takeover and activation paths only
+walk that list.
 
 :func:`image` / :func:`from_image` are the codec for records whose
 snapshot image is a plain copy of their dataclass fields: tuples become
@@ -55,6 +59,20 @@ class Part:
 
     def reconcile(self, by_msu: dict, outcome) -> None:
         """Resolve replayed state MSU-wins against StateReports by MSU name."""
+
+    def msu_failed(self, msu_name: str) -> None:
+        """Forget what died with an MSU; its books are already zeroed."""
+
+    def handle_terminated(self, msg) -> bool:
+        """True when this part fully handled an MSU's StreamTerminated."""
+        return False
+
+    def protected_groups(self) -> set:
+        """Group ids a takeover's heartbeat diff must leave to this part."""
+        return set()
+
+    def activate(self) -> None:
+        """Start the background work a warm-standby shadow suppressed."""
 
 
 def _same(value):
