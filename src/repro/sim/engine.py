@@ -422,7 +422,8 @@ class Simulator:
         self._sched = HeapScheduler()
         #: Observability hook: called with (time, seq, fn, args) per event.
         self.trace = trace
-        #: Total queue entries executed (the E23 events/sec numerator).
+        #: Total queue entries executed (the repo benchmark's events per
+        #: unit of work are read off this counter).
         self.events_executed = 0
         self._timeout_pool: List[Timeout] = []
 

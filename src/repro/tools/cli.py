@@ -181,12 +181,6 @@ def _scaleout(duration: Optional[float]) -> str:
     return format_scaleout(run_takeover(), run_sharding())
 
 
-def _city_scale(duration: Optional[float]) -> str:
-    from repro.experiments.city_scale import format_city_scale, run_city_scale
-
-    return format_city_scale(run_city_scale(duration=duration or 50.0))
-
-
 #: name -> (runner, paper reference)
 EXPERIMENTS: Dict[str, tuple] = {
     "table1": (_table1, "Table 1: baseline measurements"),
@@ -211,9 +205,6 @@ EXPERIMENTS: Dict[str, tuple] = {
     "live-tv": (_live_tv, "§2.3 live channels + time-shift rings (extension)"),
     "coordinator-recovery": (
         _recovery, "§2.2 Coordinator WAL replay + reconciliation (extension)"
-    ),
-    "city-scale": (
-        _city_scale, "§3.3 Coordinator load at 10/100/1000 fake MSUs (E23, extension)"
     ),
     "coordinator-scaleout": (
         _scaleout,
