@@ -10,6 +10,7 @@ All request methods are simulation processes (``yield from client.play(...)``).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -24,15 +25,27 @@ __all__ = ["Client", "PortStats", "GroupView"]
 
 @dataclass
 class PortStats:
-    """Receive-side accounting for one display port."""
+    """Receive-side accounting for one display port.
+
+    Every arrival is kept, as two flat columns (time, size) rather than
+    a tuple per packet: a port on a long run receives hundreds of
+    thousands of packets, and a boxed tuple costs ~10x the 12 bytes the
+    columns do (DESIGN.md §13.8).
+    """
 
     packets: int = 0
     bytes: int = 0
     first_arrival: Optional[float] = None
     last_arrival: Optional[float] = None
-    arrivals: List[Tuple[float, int]] = field(default_factory=list)
     #: Payload bytes, kept only when the port captures (tests/decoders).
     payloads: Optional[List[bytes]] = None
+    _times: array = field(default_factory=lambda: array("d"), init=False, repr=False)
+    _sizes: array = field(default_factory=lambda: array("I"), init=False, repr=False)
+
+    @property
+    def arrivals(self) -> List[Tuple[float, int]]:
+        """Every arrival as ``(time, nbytes)``, in arrival order (a copy)."""
+        return list(zip(self._times, self._sizes))
 
     def note(self, now: float, nbytes: int, payload: Optional[bytes] = None) -> None:
         self.packets += 1
@@ -40,7 +53,8 @@ class PortStats:
         if self.first_arrival is None:
             self.first_arrival = now
         self.last_arrival = now
-        self.arrivals.append((now, nbytes))
+        self._times.append(now)
+        self._sizes.append(nbytes)
         if self.payloads is not None and payload is not None:
             self.payloads.append(payload)
 

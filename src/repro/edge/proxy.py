@@ -19,6 +19,7 @@ it returns cold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Generator, Optional, Tuple
 
 from repro.cache.pool import BufferPool
@@ -31,6 +32,14 @@ __all__ = ["EdgeConfig", "EdgeProxy"]
 #: PrefixCache keys are ``(disk_id, name)`` pairs on MSUs; an edge has no
 #: disks, so every pin lives under this pseudo-disk.
 EDGE_DISK = "mem"
+
+
+@lru_cache(maxsize=None)
+def _zero_page(page_size: int) -> bytes:
+    """The one immutable page of zeros every pin and synthesized serve of
+    this size shares.  Edge content is synthetic, so pages carry no data;
+    the pool still charges each pin its full ``len()``."""
+    return bytes(page_size)
 
 
 @dataclass(frozen=True)
@@ -188,7 +197,7 @@ class EdgeProxy:
             yield self.sim.timeout(self.config.fetch_per_page)
             if self.down or epoch != self._epoch:
                 return
-            if not self.prefix.pin(key, index, bytes(msg.page_size)):
+            if not self.prefix.pin(key, index, _zero_page(msg.page_size)):
                 return
 
     def evict(self, content_name: str) -> int:
@@ -226,7 +235,7 @@ class EdgeProxy:
         nbytes = 0
         try:
             for index in range(msg.start_page, msg.end_page):
-                data = self.prefix.lookup(key, index) or bytes(msg.page_size)
+                data = self.prefix.lookup(key, index) or _zero_page(msg.page_size)
                 yield from self._sock.send(tuple(msg.display_address), data)
                 nbytes += len(data)
                 if pace > 0:

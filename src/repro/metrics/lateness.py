@@ -5,12 +5,15 @@ within a given number of milliseconds of their deadline, in 1 ms bins
 (early or on-time packets land in bin 0).
 
 Accumulation is *lazy* (DESIGN.md §13): the collector appends one raw
-sample per packet and only materializes the numpy series when a statistic
-is read, so the per-packet send path pays a list append and nothing more.
+sample per packet to a flat ``array('d')`` (8 bytes a sample, no boxed
+float; DESIGN.md §13.8) and only materializes the numpy series when a
+statistic is read, so the per-packet send path pays an array append and
+nothing more.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import List
 
@@ -23,13 +26,24 @@ __all__ = ["LatenessCollector", "LatenessCdf"]
 class LatenessCdf:
     """A cumulative lateness distribution in 1 ms bins."""
 
-    #: ``percent[i]`` = percent of packets sent <= i milliseconds late.
+    #: ``percent[i]`` = percent of packets sent less than ``i + 1`` ms
+    #: late: lateness is floored into 1 ms bins, so bin ``i`` holds
+    #: [i, i+1) ms and early packets land in bin 0.  The last bin also
+    #: holds everything later than the CDF's range.
     percent: np.ndarray
     count: int
     max_late_ms: float
 
     def fraction_within(self, ms_late: float) -> float:
-        """Fraction of packets no more than ``ms_late`` ms past deadline."""
+        """Fraction of packets in the bins up to ``int(ms_late)``.
+
+        Bins are floored, so this counts packets less than
+        ``int(ms_late) + 1`` ms late; a packet 50.5 ms late is *within
+        50 ms* here.  :meth:`LatenessCollector.percent_within` is the
+        exact ``<=`` threshold on the raw samples instead.
+        """
+        if ms_late < 0:
+            raise ValueError(f"ms_late must be >= 0: {ms_late}")
         if self.count == 0:
             return 1.0
         index = int(ms_late)
@@ -45,7 +59,7 @@ class LatenessCollector:
 
     def __init__(self, name: str = ""):
         self.name = name
-        self._singles: List[float] = []
+        self._singles = array("d")
         self._materialized = None  # cached numpy array of all samples
 
     def record(self, deadline: float, sent_at: float) -> None:
@@ -55,22 +69,27 @@ class LatenessCollector:
 
     def reset(self) -> None:
         """Drop all accumulated samples (experiment warm-up boundary)."""
-        self._singles.clear()
+        del self._singles[:]
         self._materialized = None
 
     def __len__(self) -> int:
         return len(self._singles)
 
     def _samples(self) -> np.ndarray:
-        """Materialize every sample as one float array, cached."""
+        """Materialize every sample as one float array, cached.
+
+        ``np.array`` copies; ``np.asarray`` would share the array's
+        buffer, and the next ``record()`` would raise ``BufferError``
+        because an array that exports its buffer cannot grow.
+        """
         if self._materialized is None:
-            self._materialized = np.asarray(self._singles, dtype=float)
+            self._materialized = np.array(self._singles, dtype=float)
         return self._materialized
 
     @property
-    def late_seconds(self) -> List[float]:
-        """Raw signed lateness samples (negative = early)."""
-        return list(self._samples())
+    def late_seconds(self) -> np.ndarray:
+        """Raw signed lateness samples (negative = early), as a copy."""
+        return self._samples().copy()
 
     def cdf(self, max_ms: int = 1000) -> LatenessCdf:
         """Build the Graph 1/2-style cumulative distribution."""

@@ -11,7 +11,10 @@ import pytest
 from repro.core import CalliopeCluster, ClusterConfig
 from repro.core.replication import ReplicationManager
 from repro.edge import EdgeConfig
+from repro.edge.proxy import EdgeProxy
 from repro.failover import FailoverConfig
+from repro.net import messages as m
+from repro.net.network import Host, Network
 from repro.sim import Simulator
 
 from tests.helpers import FAST, SMALL, make_packets, open_client, start_stream
@@ -335,3 +338,57 @@ class TestIntervalWindowSeeding:
             "patch", ("b", 1), alloc2,
         )
         assert "movie" not in placement.recent.get(proxy.name, {})
+
+
+class TestSharedZeroPage:
+    """Edge prefix pages are synthetic zeros: every pin of one page size
+    shares one immutable page object, while the pool still charges each
+    pin its full length."""
+
+    PAGE = 16384
+    PAGES = 256
+
+    def _proxy(self):
+        sim = Simulator()
+        net = Network(sim)
+        config = EdgeConfig(prefix_pages=self.PAGES,
+                            memory_budget=2 * self.PAGES * self.PAGE,
+                            fetch_per_page=0.0)
+        proxy = EdgeProxy(sim, "edge0", net, config)
+        viewer = Host(sim, net, "viewer").bind()
+        return sim, proxy, viewer
+
+    def _pin(self, sim, proxy):
+        msg = m.PlacePrefix("movie", "msu0", "d0", self.PAGES, self.PAGE, 0.0)
+        sim.process(proxy._place(msg))
+        sim.run(until=sim.now + 1.0)
+
+    def test_pinned_pages_share_one_object_and_charge_full_bytes(self):
+        sim, proxy, _ = self._proxy()
+        self._pin(sim, proxy)
+        key = ("mem", "movie")
+        assert proxy.pinned_pages("movie") == self.PAGES
+        pages = [proxy.prefix.lookup(key, i) for i in range(self.PAGES)]
+        assert len({id(p) for p in pages}) == 1
+        assert pages[0] == bytes(self.PAGE)
+        assert proxy.pool.used == proxy.prefix.pinned_bytes() == self.PAGES * self.PAGE
+
+    def test_evict_and_crash_release_exactly_the_pinned_bytes(self):
+        sim, proxy, _ = self._proxy()
+        self._pin(sim, proxy)
+        assert proxy.evict("movie") == self.PAGES
+        assert proxy.pool.used == proxy.prefix.pinned_bytes() == 0
+        self._pin(sim, proxy)
+        assert proxy.pool.used == self.PAGES * self.PAGE
+        proxy.crash()
+        assert proxy.pool.used == proxy.prefix.pinned_bytes() == 0
+
+    def test_miss_path_serve_sends_a_full_page(self):
+        sim, proxy, viewer = self._proxy()
+        msg = m.EdgeServe(1, 1, "movie", viewer.address, 0, 1, 1e6, self.PAGE)
+        sim.process(proxy._serve(msg))
+        sim.run(until=sim.now + 1.0)
+        assert proxy.misses == 1
+        assert proxy.prefix_bytes_served == self.PAGE
+        dgram = viewer.try_recv()
+        assert dgram is not None and len(dgram.payload) == self.PAGE

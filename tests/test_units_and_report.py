@@ -1,5 +1,6 @@
 """Unit conversions, lateness reporting and message defaults."""
 
+import numpy as np
 import pytest
 
 from repro import units
@@ -69,6 +70,49 @@ class TestLatenessCollector:
         collector.record(0.0, 0.01)
         collector.record(0.0, 0.10)
         assert collector.percent_within(50) == pytest.approx(50.0)
+
+    def test_floor_bins_versus_exact_threshold(self):
+        """``fraction_within`` reads floored 1 ms bins (50.5 ms is in bin
+        50); ``percent_within`` is an exact ``<=`` on the raw samples."""
+        collector = LatenessCollector()
+        for ms in (0.5, 50.2, 50.5, 200.0):
+            collector.record(0.0, ms / 1000.0)
+        assert collector.cdf().fraction_within(50) == 0.75
+        assert collector.percent_within(50) == 25.0
+
+    def test_fraction_within_rejects_negative_lateness(self):
+        collector = LatenessCollector()
+        collector.record(0.0, 0.5)
+        with pytest.raises(ValueError):
+            collector.cdf().fraction_within(-3)
+
+    def test_reads_between_records_match_a_list_backed_reference(self):
+        """Statistics read between records must not pin the sample
+        buffer: a numpy view of it would make the next ``record()``
+        raise ``BufferError``."""
+
+        class ListBacked(LatenessCollector):
+            def __init__(self):
+                super().__init__()
+                self._singles = []
+
+        collector, reference = LatenessCollector(), ListBacked()
+        rng = np.random.default_rng(3)
+        for round_ in range(6):
+            for late in rng.normal(0.02, 0.05, 50):
+                collector.record(1.0, 1.0 + float(late))
+                reference.record(1.0, 1.0 + float(late))
+            got, want = collector.cdf(), reference.cdf()
+            assert np.array_equal(got.percent, want.percent)
+            assert (got.count, got.max_late_ms) == (want.count, want.max_late_ms)
+            assert collector.percent_within(25) == reference.percent_within(25)
+            assert collector.max_lateness_ms() == reference.max_lateness_ms()
+            samples = collector.late_seconds
+            assert np.array_equal(samples, reference.late_seconds)
+            samples[:] = 99.0
+            assert collector.max_lateness_ms() == reference.max_lateness_ms()
+            assert np.array_equal(collector.late_seconds, reference.late_seconds)
+        assert len(collector) == 300
 
 
 class TestReportFormatting:
