@@ -25,7 +25,7 @@ from repro.units import BLOCK_SIZE, MPEG1_RATE
 __all__ = [
     "SMALL", "FAST", "MCAST", "make_packets", "build_cluster",
     "open_client", "start_stream", "start_viewer", "start_viewers_together",
-    "beat_until",
+    "beat_until", "record_holds", "record_failures",
     "build_admission_db",
 ]
 
@@ -136,6 +136,32 @@ def start_viewers_together(sim, requests):
         for client, title, port in requests
     ]
     return [sim.run_until_event(proc, limit=30.0) for proc in procs]
+
+
+def record_holds(coord):
+    """Start times of every SCHEDULE_CPU hold on the Coordinator's CPU."""
+    cpu = coord.machine.cpu
+    execute, starts = cpu.execute, []
+
+    def timed(duration):
+        if duration == coord.SCHEDULE_CPU:
+            starts.append(coord.sim.now)
+        return execute(duration)
+
+    cpu.execute = timed
+    return starts
+
+
+def record_failures(coord):
+    """When the Coordinator first declared each MSU failed, by name."""
+    failed, times = coord._msu_failed, {}
+
+    def timed(msu_name, *args, **kwargs):
+        times.setdefault(msu_name, coord.sim.now)
+        return failed(msu_name, *args, **kwargs)
+
+    coord._msu_failed = timed
+    return times
 
 
 def beat_until(sim, monitor, msu_name, stop, period=0.1, positions=()):

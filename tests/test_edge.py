@@ -9,6 +9,7 @@ in ``Coordinator._play`` — the only route to the *prefix* serve lane
 import pytest
 
 from repro.core import CalliopeCluster, ClusterConfig
+from repro.core.coordinator import Coordinator
 from repro.core.replication import ReplicationManager
 from repro.edge import EdgeConfig
 from repro.edge.proxy import EdgeProxy
@@ -16,8 +17,18 @@ from repro.failover import FailoverConfig
 from repro.net import messages as m
 from repro.net.network import Host, Network
 from repro.sim import Simulator
+from repro.units import MPEG1_RATE
+from repro.verify.invariants import builtin_registry
 
-from tests.helpers import FAST, SMALL, make_packets, open_client, start_stream
+from tests.helpers import (
+    FAST,
+    SMALL,
+    make_packets,
+    open_client,
+    record_failures,
+    record_holds,
+    start_stream,
+)
 
 #: Fast enough for test horizons: one play pins the title on the next
 #: placement tick (score 1.0 decays to 0.9, above promote at 0.5) and
@@ -280,6 +291,71 @@ class TestEdgeSplice:
         assert mcast.edge_spliced == 0
         assert mcast.fallbacks == 1
         assert proc.is_alive  # parked on the queue, still waiting
+
+
+class TestEdgeSpliceCrashWhileScheduling:
+    """The tail MSU dies inside the splice's SCHEDULE_CPU hold.
+
+    A batch that found no channel slot falls back to an edge prefix plus
+    a unicast tail; the tail's MSU fails while its ScheduleRead goes
+    out.  The group is never registered, the edge's uplink charge is
+    refunded and the request parks like any other fallback.
+    """
+
+    def _splice_play(self):
+        """The splice rig at the instant viewer b asks for the title: the
+        prefix is pinned, a leader channel plays, and the disk has no
+        room for a second channel."""
+        sim, cluster = TestEdgeSplice()._edged_mcast()
+        coord = cluster.coordinator
+        coord.placement.note_request("movie")
+        sim.run(until=1.0)
+        start_stream(sim, open_client(sim, cluster, name="a"), "movie", "tv")
+        disk = coord.db.disk("msu0", coord.db.contents["movie"].disk_id)
+        disk.bandwidth_capacity = disk.bandwidth_used + 0.5 * MPEG1_RATE
+        sim.run(until=8.0)
+        viewer = open_client(sim, cluster, name="b")
+        sim.process(_play_only(sim, viewer, "movie", "tv"))
+        return sim, cluster
+
+    def crash_instant(self):
+        """A crash instant whose detection lands mid-hold, from two
+        probes: when the splice's hold starts, and how long the crash
+        takes to detect."""
+        sim, cluster = self._splice_play()
+        holds = record_holds(cluster.coordinator)
+        sim.run(until=sim.now + 1.0)
+        (hold,) = holds
+        sim, cluster = self._splice_play()
+        detected = record_failures(cluster.coordinator)
+        sim.run(until=hold)
+        cluster.fail_msu(0, crash=True)
+        sim.run(until=sim.now + 1.0)
+        return hold + Coordinator.SCHEDULE_CPU / 2 - (detected["msu0"] - hold)
+
+    def test_failure_inside_the_hold_parks_and_refunds_the_edge(self):
+        crash_at = self.crash_instant()
+        sim, cluster = self._splice_play()
+        coord = cluster.coordinator
+        holds = record_holds(coord)
+        detected = record_failures(coord)
+        sim.run(until=crash_at)
+        cluster.fail_msu(0, crash=True)
+        sim.run(until=sim.now + 1.0)
+        # The failure really landed inside the splice's hold.
+        assert holds[0] < detected["msu0"] < holds[0] + Coordinator.SCHEDULE_CPU
+        mcast = coord.channel_manager
+        assert mcast.edge_spliced == 0
+        assert mcast.fallbacks == 1
+        # Viewer b's request parked beside the leader's resume ticket.
+        assert sorted(req.kind for req in coord.admission.queue) == [
+            "play", "resume",
+        ]
+        assert not coord.groups
+        view = coord.placement.edges[cluster.edges[0].name]
+        assert view.uplink_used == 0.0
+        assert coord.placement.prefix_serves == 0
+        assert builtin_registry().check(cluster, "drain") == []
 
 
 def _play_only(sim, client, title, port):
