@@ -35,6 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["ClusterConfig", "CalliopeCluster"]
 
+#: Intra-server network message latency (Ethernet RPC).
+INTRA_LATENCY = ms(1.0)
+
 
 @dataclass
 class ClusterConfig:
@@ -43,8 +46,6 @@ class ClusterConfig:
     n_msus: int = 1
     #: SCSI topology per MSU (the evaluation testbed: 2 disks, one HBA).
     disks_per_hba: Tuple[int, ...] = (2,)
-    #: Intra-server network message latency (Ethernet RPC).
-    intra_latency: float = ms(1.0)
     #: Delivery network latency (FDDI).
     delivery_latency: float = ms(0.5)
     types: Optional[List[ContentType]] = None
@@ -82,7 +83,7 @@ class CalliopeCluster:
     def __init__(self, sim: Simulator, config: ClusterConfig = ClusterConfig()):
         self.sim = sim
         self.config = config
-        self.intra_net = Network(sim, "intra", latency=config.intra_latency)
+        self.intra_net = Network(sim, "intra", latency=INTRA_LATENCY)
         self.delivery_net = Network(sim, "delivery", latency=config.delivery_latency)
         self.coordinator = self.build_coordinator()
         self.journal: Optional[JournalStore] = None
@@ -124,7 +125,7 @@ class CalliopeCluster:
             )
             channel = ControlChannel(
                 sim, self.coordinator.name, msu.name,
-                latency=config.intra_latency, network=self.intra_net,
+                latency=INTRA_LATENCY, network=self.intra_net,
             )
             self.coordinator.attach_msu(channel)
             msu.attach_coordinator(channel)
@@ -180,7 +181,6 @@ class CalliopeCluster:
         scaleout = self.config.scaleout
         standby = StandbyCoordinator(
             self,
-            poll=scaleout.standby_poll if scaleout is not None else 0.1,
             leader_heartbeat=(
                 scaleout.leader_heartbeat if scaleout is not None else None
             ),
@@ -237,7 +237,7 @@ class CalliopeCluster:
                 continue
             channel = ControlChannel(
                 self.sim, coord.name, msu.name,
-                latency=self.config.intra_latency, network=self.intra_net,
+                latency=INTRA_LATENCY, network=self.intra_net,
             )
             coord.attach_msu(channel)
             msu.attach_coordinator(channel)
@@ -261,7 +261,7 @@ class CalliopeCluster:
         """Wire one edge proxy to the (current) Coordinator."""
         channel = ControlChannel(
             self.sim, self.coordinator.name, proxy.name,
-            latency=self.config.intra_latency, network=self.intra_net,
+            latency=INTRA_LATENCY, network=self.intra_net,
         )
         self.coordinator.attach_edge(channel)
         proxy.attach_coordinator(channel)
@@ -290,7 +290,7 @@ class CalliopeCluster:
             raise CalliopeError("coordinator is down")
         channel = ControlChannel(
             self.sim, client_host, self.coordinator.name,
-            latency=self.config.intra_latency, network=self.intra_net,
+            latency=INTRA_LATENCY, network=self.intra_net,
         )
         self.coordinator.connect_client(channel, client_host)
         self._client_channels[client_host] = channel
@@ -339,7 +339,7 @@ class CalliopeCluster:
             return
         channel = ControlChannel(
             self.sim, self.coordinator.name, msu.name,
-            latency=self.config.intra_latency, network=self.intra_net,
+            latency=INTRA_LATENCY, network=self.intra_net,
         )
         self.coordinator.attach_msu(channel)
         msu.attach_coordinator(channel)
@@ -430,7 +430,7 @@ class CalliopeCluster:
                 continue
             channel = ControlChannel(
                 self.sim, coord.name, msu.name,
-                latency=config.intra_latency, network=self.intra_net,
+                latency=INTRA_LATENCY, network=self.intra_net,
             )
             coord.attach_msu(channel)
             msu.attach_coordinator(channel)

@@ -34,6 +34,9 @@ __all__ = ["EdgeView", "PlacementManager"]
 
 #: Scores below this are dropped entirely (bounds the estimator's size).
 SCORE_FLOOR = 0.001
+#: How long an edge's just-served window counts as an interval hit for a
+#: trailing viewer (seconds).
+INTERVAL_TTL = 10.0
 
 
 @dataclass
@@ -326,7 +329,7 @@ class PlacementManager(Part):
             current = windows.get(entry.name)
             if current is None or current[0] <= end_page:
                 windows[entry.name] = (
-                    end_page, self.sim.now + self.config.interval_ttl
+                    end_page, self.sim.now + INTERVAL_TTL
                 )
 
     def serve_done(self, msg: m.EdgeServeDone) -> None:
@@ -352,7 +355,7 @@ class PlacementManager(Part):
         if record.kind != "patch":
             windows = self.recent.setdefault(record.edge_name, {})
             windows[record.content_name] = (
-                record.end_page, self.sim.now + self.config.interval_ttl
+                record.end_page, self.sim.now + INTERVAL_TTL
             )
 
     def _refund_edge(self, edge_name: str) -> None:

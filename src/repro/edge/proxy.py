@@ -73,9 +73,6 @@ class EdgeConfig:
     report_period: float = 1.0
     #: Seconds per page for the background prefix fetch trickle.
     fetch_per_page: float = 0.002
-    #: How long an edge's just-served window counts as an interval hit
-    #: for a trailing viewer (seconds).
-    interval_ttl: float = 10.0
 
     def __post_init__(self):
         if not (0.0 <= self.decay < 1.0):

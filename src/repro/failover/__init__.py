@@ -70,5 +70,3 @@ class FailoverConfig:
     """Everything the failover subsystem needs to know."""
 
     heartbeat: HeartbeatConfig = field(default_factory=HeartbeatConfig)
-    #: Migrate orphaned playback groups to replicas (False: queue only).
-    migrate: bool = True

@@ -44,6 +44,10 @@ __all__ = [
 #: Live channel ids live far above the multicast manager's VoD channel
 #: ids so a PatchDrained / StreamTerminated routes unambiguously.
 LIVE_CHANNEL_BASE = 1 << 20
+#: Ingest-admission attempts when the cluster is momentarily full, and
+#: the wait between them (seconds).
+OPEN_RETRIES = 5
+OPEN_RETRY_DELAY = 2.0
 
 
 @dataclass(frozen=True)
@@ -74,9 +78,6 @@ class LiveConfig:
     #: How long past its scheduled slot a channel may run before the EPG
     #: forces it off the air (a stalled broadcaster never quits cleanly).
     off_air_grace: float = 10.0
-    #: Ingest-admission retries when the cluster is momentarily full.
-    open_retries: int = 5
-    open_retry_delay: float = 2.0
 
 
 @dataclass
@@ -164,11 +165,11 @@ class LiveManager(Part):
         self.fired.add(index)
         self.coord._journal("live-epg", {"index": index})
         record = None
-        for _attempt in range(max(1, self.config.open_retries)):
+        for _attempt in range(OPEN_RETRIES):
             record = self.open_channel(spec)
             if record is not None:
                 break
-            yield self.sim.timeout(self.config.open_retry_delay)
+            yield self.sim.timeout(OPEN_RETRY_DELAY)
             if self.coord.dead or self.coord.recovering:
                 return
         if record is None:

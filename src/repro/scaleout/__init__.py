@@ -58,8 +58,6 @@ class ScaleOutConfig:
     shards: int = 1
     #: Keep a warm standby tailing the journal from cluster bring-up.
     standby: bool = False
-    #: Seconds between standby journal-tail polls.
-    standby_poll: float = 0.1
     #: Liveness detector the standby points at the leader.
     leader_heartbeat: HeartbeatConfig = field(
         default_factory=_leader_heartbeat_default
