@@ -263,14 +263,6 @@ class AdminDatabase(Part):
         self._journal("content-played", {"name": name, "count": count})
         return entry
 
-    def top_requested(self, n: int = 10) -> List[ContentEntry]:
-        """The ``n`` most-demanded atomic titles, hottest first."""
-        entries = [
-            e for e in self.contents.values() if not e.components and e.msu_name
-        ]
-        entries.sort(key=lambda e: e.demand, reverse=True)
-        return entries[:n]
-
     # -- resources ------------------------------------------------------------
 
     def register_msu(

@@ -91,11 +91,6 @@ class SlotAdmission:
         self._next = 0
 
     @property
-    def used_slots(self) -> int:
-        """Slots currently assigned to streams."""
-        return len(self._used)
-
-    @property
     def free_slots(self) -> int:
         return self.capacity - len(self._used)
 

@@ -38,11 +38,6 @@ class StreamingRig:
             for disk in state.disks.values():
                 disk.bandwidth_capacity = 1e12
 
-    def load_files(self, names_types_packets) -> None:
-        """Pre-load (name, type, packets, disk_index) tuples."""
-        for name, type_name, packets, disk_index in names_types_packets:
-            self.cluster.load_content(name, type_name, packets, disk_index=disk_index)
-
 
 def run_streaming_workload(
     rig: StreamingRig,

@@ -112,6 +112,3 @@ class UtilizationProbe(CounterProbe):
 
     def mean_utilization(self) -> float:
         return self.mean_rate()
-
-    def peak_utilization(self) -> float:
-        return self.peak_rate()

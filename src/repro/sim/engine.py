@@ -494,10 +494,6 @@ class Simulator:
         """Spawn ``gen`` as a simulated process starting now."""
         return Process(self, gen, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """Shorthand for :func:`AllOf`."""
-        return AllOf(self, events)
-
     def any_of(self, events: Iterable[Event]) -> Event:
         """Shorthand for :func:`AnyOf`."""
         return AnyOf(self, events)
