@@ -214,11 +214,38 @@ EXPERIMENTS: Dict[str, tuple] = {
 
 
 def _parse_seeds(spec: str) -> list:
-    """``"7"`` -> [7]; ``"1..5"`` -> [1, 2, 3, 4, 5]."""
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(spec)]
+    """``"7"`` -> [7]; ``"1..5"`` -> [1, 2, 3, 4, 5].
+
+    Also the argparse ``type`` of ``verify --seed``: a malformed or
+    reversed range is a usage error, not an empty sweep.
+    """
+    lo, dots, hi = spec.partition("..")
+    try:
+        first = int(lo)
+        last = int(hi) if dots else first
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad seed spec {spec!r}: want N or LO..HI"
+        ) from None
+    if last < first:
+        raise argparse.ArgumentTypeError(f"reversed seed range {spec!r}")
+    return list(range(first, last + 1))
+
+
+def _seed_spec(spec: str) -> str:
+    """argparse ``type`` of ``live --chaos-seeds``: checked, kept as text
+    ('' skips the sweep)."""
+    if spec:
+        _parse_seeds(spec)
+    return spec
+
+
+def positive_seconds(text: str) -> float:
+    """argparse ``type`` of ``--duration``: a window must be > 0 seconds."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def build_verify_parser() -> argparse.ArgumentParser:
@@ -227,7 +254,7 @@ def build_verify_parser() -> argparse.ArgumentParser:
         description="Run chaos schedules against the invariant registry.",
     )
     parser.add_argument(
-        "--seed", default="1",
+        "--seed", type=_parse_seeds, default="1",
         help="seed or inclusive range, e.g. '7' or '1..5' (default 1)",
     )
     parser.add_argument(
@@ -286,7 +313,7 @@ def verify_main(argv) -> int:
             ChaosSchedule.generate(
                 seed, args.ops, horizon=args.horizon, kinds=kinds
             )
-            for seed in _parse_seeds(args.seed)
+            for seed in args.seed
         ]
     failures = 0
     for schedule in schedules:
@@ -627,7 +654,7 @@ def build_live_parser() -> argparse.ArgumentParser:
         help="workload seed (default 22)",
     )
     parser.add_argument(
-        "--chaos-seeds", default="61..63",
+        "--chaos-seeds", type=_seed_spec, default="61..63",
         help="chaos sweep seeds, e.g. '7' or '61..63'; '' skips the sweep "
              "(default 61..63)",
     )
@@ -666,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which experiment to run ('list' prints descriptions)",
     )
     parser.add_argument(
-        "--duration", type=float, default=None,
+        "--duration", type=positive_seconds, default=None,
         help="measurement window in simulated seconds (experiment default "
              "otherwise; the paper ran 6-minute windows)",
     )

@@ -17,7 +17,7 @@ import sys
 import time
 from typing import Optional
 
-from repro.tools.cli import EXPERIMENTS
+from repro.tools.cli import EXPERIMENTS, positive_seconds
 
 __all__ = ["generate", "main"]
 
@@ -56,7 +56,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument(
-        "--duration", type=float, default=None,
+        "--duration", type=positive_seconds, default=None,
         help="measurement window for the windowed experiments",
     )
     parser.add_argument(

@@ -88,3 +88,43 @@ class TestLiveSubcommand:
         out = capsys.readouterr().out
         assert "Chaos sweep" in out
         assert "1/1 seeds with zero violations" in out
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("value", ["0", "-5", "nan"])
+    def test_non_positive_duration_rejected(self, value):
+        # A zero window used to fall back to the experiment's default.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["memorypath", "--duration", value])
+
+    def test_summary_rejects_non_positive_duration(self):
+        from repro.tools.summary import main as summary_main
+
+        with pytest.raises(SystemExit):
+            summary_main(["--only", "memorypath", "--duration", "0"])
+
+    @pytest.mark.parametrize("spec", ["5..1", "1..", "a..3", "..3", ""])
+    def test_bad_verify_seed_rejected(self, spec):
+        # A reversed range used to run zero schedules and exit 0.
+        from repro.tools.cli import build_verify_parser
+
+        with pytest.raises(SystemExit):
+            build_verify_parser().parse_args(["--seed", spec])
+
+    def test_verify_seed_range_parsed(self):
+        from repro.tools.cli import build_verify_parser
+
+        assert build_verify_parser().parse_args(["--seed", "3..5"]).seed == [3, 4, 5]
+        assert build_verify_parser().parse_args([]).seed == [1]
+
+    @pytest.mark.parametrize("spec", ["63..61", "1..", "a..3"])
+    def test_bad_chaos_seeds_rejected(self, spec):
+        from repro.tools.cli import build_live_parser
+
+        with pytest.raises(SystemExit):
+            build_live_parser().parse_args(["--chaos-seeds", spec])
+
+    def test_empty_chaos_seeds_still_skips(self):
+        from repro.tools.cli import build_live_parser
+
+        assert build_live_parser().parse_args(["--chaos-seeds", ""]).chaos_seeds == ""
