@@ -11,26 +11,30 @@ from __future__ import annotations
 import json
 import pathlib
 
+import pytest
+
+# The experiments' checks are plain asserts in src/: rewrite them so that
+# a failing bound reports its operands.
+pytest.register_assert_rewrite("repro.experiments")
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: One consolidated perf-trajectory artifact all benchmarks append to.
-#: Every ``test_bench_*`` publishes its headline numbers here under a
-#: single schema, so a CI run (or a human) can diff the whole perf
-#: surface across commits from one JSON file instead of scraping
-#: nineteen rendered tables.
+#: Every experiment publishes its headline numbers here under a single
+#: schema, so a CI run (or a human) can diff the whole perf surface
+#: across commits from one JSON file instead of scraping the rendered
+#: tables.
 TRAJECTORY_SCHEMA = "calliope-bench-trajectory-v1"
 TRAJECTORY_PATH = RESULTS_DIR / "BENCH_trajectory.json"
 
 
-def publish(benchmark, name: str, text: str, **extra) -> None:
+def publish(benchmark, name: str, text: str) -> None:
     """Print, persist and attach one experiment's rendered output."""
     print()
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     benchmark.extra_info["report"] = text
-    for key, value in extra.items():
-        benchmark.extra_info[key] = value
 
 
 def headline(bench: str, metric: str, value, units: str, **context) -> None:

@@ -27,6 +27,7 @@ from repro.cache.manager import CacheConfig, CacheSnapshot
 from repro.clients.client import Client
 from repro.clients.population import ViewerPopulation
 from repro.core.cluster import CalliopeCluster, ClusterConfig
+from repro.experiments import Experiment, headline
 from repro.media.mpeg import MpegEncoder, packetize_cbr
 from repro.metrics.probes import CounterProbe
 from repro.metrics.report import format_cache_summary
@@ -182,5 +183,34 @@ def format_cache(points: List[CachePoint]) -> str:
     return "\n".join(lines)
 
 
-if __name__ == "__main__":  # pragma: no cover - manual calibration aid
-    print(format_cache(run_cache()))
+def _checks(points: List[CachePoint]) -> None:
+    off, on = points
+    # The acceptance bar: the same disk sustains >=20% more concurrent
+    # streams with the cache on, and the gain really came from the cache.
+    assert not off.cache_enabled and on.cache_enabled
+    assert on.concurrent_peak >= 1.2 * off.concurrent_peak
+    assert on.snapshot.hit_ratio > 0.0
+    assert on.snapshot.slots_saved > 0
+    assert on.cache_admitted > 0
+    assert on.blocking_probability < off.blocking_probability
+
+
+def _headlines(points: List[CachePoint]) -> list:
+    off, on = points
+    return [
+        headline(
+            "concurrent_peak_gain",
+            round(on.concurrent_peak / off.concurrent_peak, 2), "x",
+        ),
+        headline("hit_ratio", round(on.snapshot.hit_ratio, 3), "fraction"),
+    ]
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="cache", table="cache",
+        paper_ref="§2.3.3 interval/prefix caching vs. no cache (extension)",
+        run=run_cache, render=format_cache,
+        checks=_checks, headlines=_headlines, duration_arg="duration",
+    ),
+)

@@ -23,6 +23,7 @@ from typing import Generator, List, Sequence
 
 from repro.clients.client import Client
 from repro.core.cluster import CalliopeCluster, ClusterConfig
+from repro.experiments import Experiment, headline
 from repro.media.mpeg import MpegEncoder, packetize_cbr
 from repro.sim import Simulator
 from repro.units import CBR_PACKET_SIZE, MPEG1_RATE, to_mbyte_per_s
@@ -127,5 +128,36 @@ def format_cluster_scale(points: List[ScalePoint]) -> str:
     return "\n".join(lines)
 
 
-if __name__ == "__main__":  # pragma: no cover - manual calibration aid
-    print(format_cluster_scale(run_cluster_scale()))
+def _checks(points: List[ScalePoint]) -> None:
+    base, last = points[0], points[-1]
+    scale = last.n_msus / base.n_msus
+    # Aggregate bandwidth scales linearly with MSU count ...
+    assert last.aggregate_mb_s / base.aggregate_mb_s > scale * 0.9
+    # ... per-stream quality does not degrade as MSUs are added ...
+    assert all(p.worst_within_50ms > 0.98 for p in points)
+    # ... and the shared Coordinator stays far from saturation (§3.3).
+    assert all(p.coordinator_cpu < 0.05 for p in points)
+
+
+def _headlines(points: List[ScalePoint]) -> list:
+    return [
+        headline(
+            "aggregate_mb_s",
+            round(points[-1].aggregate_mb_s, 2), "MB/s",
+            n_msus=points[-1].n_msus,
+        ),
+        headline(
+            "coordinator_cpu",
+            round(max(p.coordinator_cpu for p in points), 4), "fraction",
+        ),
+    ]
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="cluster-scale", table="cluster_scale",
+        paper_ref="abstract/§3.3 scaling by adding MSUs (extension)",
+        run=run_cluster_scale, render=format_cluster_scale,
+        checks=_checks, headlines=_headlines, duration_arg="duration",
+    ),
+)

@@ -29,6 +29,7 @@ from repro.clients.client import Client
 from repro.clients.population import ViewerPopulation
 from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.edge import EdgeConfig
+from repro.experiments import Experiment, headline
 from repro.media.mpeg import MpegEncoder, packetize_cbr
 from repro.multicast import MulticastConfig
 from repro.sim import Simulator
@@ -237,5 +238,43 @@ def format_edge(points: List[EdgePoint]) -> str:
     return "\n".join(lines)
 
 
-if __name__ == "__main__":  # pragma: no cover - manual calibration aid
-    print(format_edge(run_edge()))
+def _checks(points: List[EdgePoint]) -> None:
+    off, on = points
+    # Acceptance bar: with edges the same disk sustains at least twice
+    # the concurrent viewers of the multicast baseline, the gain really
+    # came from edge-covered (zero-disk-cost) patches, and every book —
+    # multicast ledger and edge uplink — balances once the world drains.
+    assert not off.edges_enabled and on.edges_enabled
+    assert on.concurrent_peak >= 2 * off.concurrent_peak
+    assert on.edge_patches > 0
+    assert on.edge_admitted > 0
+    assert on.edge_bytes_served > 0
+    assert on.msu_patches <= on.edge_patches
+    assert on.ledger_outstanding == 0.0
+    assert on.edge_uplink_outstanding == 0.0
+
+
+def _headlines(points: List[EdgePoint]) -> list:
+    off, on = points
+    gain = on.concurrent_peak / off.concurrent_peak
+    return [
+        headline(
+            "viewers_per_disk_gain", round(gain, 2), "x",
+            zipf_s=1.0, baseline="E18 multicast, same offered load",
+        ),
+        headline("concurrent_peak", on.concurrent_peak, "viewers"),
+        headline(
+            "edge_covered_patches", on.edge_patches, "joins",
+            msu_patches=on.msu_patches,
+        ),
+    ]
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="edge-cache", table="edge",
+        paper_ref="abstract edge proxy tier vs. multicast alone (extension)",
+        run=run_edge, render=format_edge,
+        checks=_checks, headlines=_headlines, duration_arg="duration",
+    ),
+)

@@ -16,6 +16,7 @@ from typing import Generator
 
 import numpy as np
 
+from repro.experiments import Experiment, headline
 from repro.hardware import Machine, MachineParams, SeekPolicy
 from repro.sim import Simulator
 from repro.units import BLOCK_SIZE, to_mbyte_per_s
@@ -82,5 +83,28 @@ def format_elevator(result: ElevatorResult) -> str:
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual calibration aid
-    print(format_elevator(run_elevator()))
+def _checks(result: ElevatorResult) -> None:
+    import pytest  # approx; checks run under the bench
+
+    # Paper: "an elevator scheduling algorithm improves throughput by only
+    # about 6% for our disks".
+    assert result.elevator_gain == pytest.approx(0.06, abs=0.04)
+
+
+def _headlines(result: ElevatorResult) -> list:
+    return [
+        headline(
+            "throughput_gain", round(result.elevator_gain, 4),
+            "fraction", paper_claim=0.06,
+        ),
+    ]
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="elevator", table="elevator",
+        paper_ref="§2.3.3 elevator scheduling gain",
+        run=run_elevator, render=format_elevator,
+        checks=_checks, headlines=_headlines, duration_arg="duration",
+    ),
+)

@@ -34,6 +34,7 @@ from repro.clients.client import Client, GroupView
 from repro.clients.playback import resume_gap
 from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.core.replication import ReplicationManager
+from repro.experiments import Experiment, headline
 from repro.failover import FailoverConfig, HeartbeatConfig
 from repro.media.mpeg import MpegEncoder, packetize_cbr
 from repro.metrics.report import format_failover_summary
@@ -254,5 +255,47 @@ def format_failover(points: List[FailoverPoint]) -> str:
     return "\n".join(lines)
 
 
-if __name__ == "__main__":  # pragma: no cover - manual calibration aid
-    print(format_failover(run_failover()))
+def _checks(points: List[FailoverPoint]) -> None:
+    with_replicas, single_copy = points
+    # The acceptance bar: with replicas, >=80% of the dead MSU's streams
+    # resume on survivors within the heartbeat timeout plus one duty
+    # cycle; without replicas nothing resumes during the outage — every
+    # ticket parks on the queue and is served once the MSU recovers.
+    assert with_replicas.victim_streams > 0
+    assert with_replicas.resumed >= 0.8 * with_replicas.victim_streams
+    assert (
+        with_replicas.resumed_within_budget
+        >= 0.8 * with_replicas.victim_streams
+    )
+    assert with_replicas.max_resume_gap_s <= with_replicas.detection_budget_s
+    assert single_copy.victim_streams > 0
+    assert single_copy.resumed_within_budget == 0
+    assert single_copy.resumed_before_recovery == 0
+    assert single_copy.queued_resumes > 0
+    assert single_copy.served_after_recovery == single_copy.victim_streams
+
+
+def _headlines(points: List[FailoverPoint]) -> list:
+    with_replicas = points[0]
+    return [
+        headline(
+            "resumed_within_budget",
+            with_replicas.resumed_within_budget, "streams",
+            victims=with_replicas.victim_streams,
+        ),
+        headline(
+            "max_resume_gap_s",
+            round(with_replicas.max_resume_gap_s, 3), "seconds",
+            budget_s=with_replicas.detection_budget_s,
+        ),
+    ]
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="failover", table="failover",
+        paper_ref="§2.2 MSU failover: heartbeats + migration (extension)",
+        run=run_failover, render=format_failover,
+        checks=_checks, headlines=_headlines,
+    ),
+)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.experiments import Experiment, headline
 from repro.experiments._support import StreamingRig, run_streaming_workload
 from repro.media.mpeg import MpegEncoder, packetize_cbr
 from repro.metrics.lateness import LatenessCdf
@@ -67,5 +68,33 @@ def format_graph1(curves: Dict[int, LatenessCdf]) -> str:
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual calibration aid
-    print(format_graph1(run_graph1()))
+def _checks(curves: Dict[int, LatenessCdf]) -> None:
+    # Paper: 22 streams excellent (99.6% within 50 ms, none past 150 ms);
+    # 23 degrades gradually; 24 collapses.
+    assert curves[22].fraction_within(50) > 0.99
+    assert curves[22].max_late_ms <= 150.0
+    assert curves[23].fraction_within(50) > 0.8
+    assert curves[24].fraction_within(50) < 0.5
+
+
+def _headlines(curves: Dict[int, LatenessCdf]) -> list:
+    return [
+        headline(
+            "within_50ms_at_22",
+            round(curves[22].fraction_within(50), 4), "fraction",
+            paper_claim=0.996,
+        ),
+        headline(
+            "max_late_ms_at_22", round(curves[22].max_late_ms, 1), "ms",
+        ),
+    ]
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="graph1", table="graph1",
+        paper_ref="Graph 1: constant-rate delivery distribution",
+        run=run_graph1, render=format_graph1,
+        checks=_checks, headlines=_headlines, duration_arg="duration",
+    ),
+)

@@ -15,8 +15,10 @@ synchronized starts, the MSU manages just 11 streams instead of 15.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Sequence
 
+from repro.experiments import Experiment, headline
 from repro.experiments._support import StreamingRig, run_streaming_workload
 from repro.media.nv import NvEncoder
 from repro.metrics.lateness import LatenessCdf
@@ -87,7 +89,48 @@ def format_graph2(curves: Dict[int, LatenessCdf], single_file: bool = False) -> 
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual calibration aid
-    print(format_graph2(run_graph2()))
-    print()
-    print(format_graph2(run_graph2(stream_counts=(11, 15), single_file=True), True))
+def _checks(curves: Dict[int, LatenessCdf]) -> None:
+    # Paper shape: worse than constant rate, degrading from 15 to 17.
+    assert curves[15].fraction_within(50) > curves[17].fraction_within(50)
+    assert curves[15].fraction_within(25) < 0.9
+
+
+def _headlines(curves: Dict[int, LatenessCdf]) -> list:
+    return [
+        headline(
+            "within_50ms_at_15",
+            round(curves[15].fraction_within(50), 4), "fraction",
+        ),
+    ]
+
+
+def _single_file_checks(curves: Dict[int, LatenessCdf]) -> None:
+    # E4: a single synchronized file caps out at 11 streams, not 15.
+    assert curves[11].fraction_within(100) > curves[15].fraction_within(100)
+
+
+def _single_file_headlines(curves: Dict[int, LatenessCdf]) -> list:
+    return [
+        headline(
+            "within_100ms_at_11",
+            round(curves[11].fraction_within(100), 4), "fraction",
+        ),
+    ]
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="graph2", table="graph2",
+        paper_ref="Graph 2: variable-rate delivery distribution",
+        run=run_graph2, render=format_graph2,
+        checks=_checks, headlines=_headlines, duration_arg="duration",
+    ),
+    Experiment(
+        name="graph2-single-file", table="graph2_single_file",
+        paper_ref="§3.2.2 single-file capacity drop",
+        run=partial(run_graph2, stream_counts=(11, 15), single_file=True),
+        render=partial(format_graph2, single_file=True),
+        checks=_single_file_checks, headlines=_single_file_headlines,
+        duration_arg="duration",
+    ),
+)

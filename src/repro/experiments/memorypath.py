@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator
 
+from repro.experiments import Experiment, headline
 from repro.hardware import Machine, MachineParams
 from repro.hardware.params import FDDI, MemoryParams
 from repro.sim import Simulator, Store
@@ -97,5 +98,27 @@ def format_memorypath(result: MemoryPathResult) -> str:
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual calibration aid
-    print(format_memorypath(run_memorypath()))
+def _checks(result: MemoryPathResult) -> None:
+    import pytest  # approx; checks run under the bench
+
+    assert result.theoretical == pytest.approx(7.5, abs=0.05)
+    assert result.measured == pytest.approx(6.3, abs=0.3)
+
+
+def _headlines(result: MemoryPathResult) -> list:
+    return [
+        headline(
+            "measured_mb_s", round(result.measured, 2), "MB/s",
+            theoretical=round(result.theoretical, 2),
+        ),
+    ]
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="memorypath", table="memorypath",
+        paper_ref="§3.2.3 memory-path bottleneck",
+        run=run_memorypath, render=format_memorypath,
+        checks=_checks, headlines=_headlines, duration_arg="duration",
+    ),
+)

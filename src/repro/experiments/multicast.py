@@ -25,6 +25,7 @@ from typing import List, Optional, Tuple
 from repro.clients.client import Client
 from repro.clients.population import ViewerPopulation
 from repro.core.cluster import CalliopeCluster, ClusterConfig
+from repro.experiments import Experiment, headline
 from repro.media.mpeg import MpegEncoder, packetize_cbr
 from repro.metrics.report import format_multicast_summary
 from repro.multicast import MulticastConfig
@@ -210,5 +211,45 @@ def format_multicast(points: List[MulticastPoint]) -> str:
     return "\n".join(lines)
 
 
-if __name__ == "__main__":  # pragma: no cover - manual calibration aid
-    print(format_multicast(run_multicast()))
+def _checks(points: List[MulticastPoint]) -> None:
+    off, on = points
+    # The acceptance bar: one disk sustains at least twice the concurrent
+    # viewers with multicast on, the gain really came from batching and
+    # patching, and the admission books balance once everything drains.
+    assert not off.multicast_enabled and on.multicast_enabled
+    assert on.concurrent_peak >= 2 * off.concurrent_peak
+    assert on.channel_occupancy > 1.0
+    assert on.slots_saved > 0
+    assert on.merges > 0
+    assert on.ledger_outstanding == 0.0
+    # Every patch the run granted stayed inside the configured horizon.
+    horizon_us = 6.0 * 1e6
+    for offset_us, patch_us in on.patch_bounds:
+        assert patch_us <= horizon_us + 1e6  # horizon + one-page margin
+    # The network really fanned out: more receiver copies than sends.
+    assert on.multicast_copies > on.multicast_sends
+
+
+def _headlines(points: List[MulticastPoint]) -> list:
+    off, on = points
+    return [
+        headline(
+            "viewers_per_disk_gain",
+            round(on.concurrent_peak / off.concurrent_peak, 2), "x",
+        ),
+        headline(
+            "channel_occupancy",
+            round(on.channel_occupancy, 2), "viewers/channel",
+        ),
+        headline("slots_saved", on.slots_saved, "disk slots"),
+    ]
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="multicast", table="multicast",
+        paper_ref="§2.2/§3.2 multicast channels + patching (extension)",
+        run=run_multicast, render=format_multicast,
+        checks=_checks, headlines=_headlines, duration_arg="duration",
+    ),
+)

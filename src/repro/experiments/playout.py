@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.clients.playback import PlayoutBuffer
+from repro.experiments import Experiment, headline
 from repro.experiments._support import StreamingRig, run_streaming_workload
 from repro.media.mpeg import MpegEncoder, packetize_cbr
 from repro.units import CBR_PACKET_SIZE, MPEG1_RATE
@@ -103,5 +104,32 @@ def format_playout(points: List[PlayoutPoint]) -> str:
     return "\n".join(lines)
 
 
-if __name__ == "__main__":  # pragma: no cover - manual calibration aid
-    print(format_playout(run_playout()))
+def _checks(points: List[PlayoutPoint]) -> None:
+    inside, beyond = points
+    # §2.2.1's buffer argument holds inside capacity: zero still-frames.
+    assert inside.underflowing_streams == 0
+    # Past the Graph 1 cliff the buffer can no longer hide the server.
+    assert beyond.underflowing_streams > inside.underflowing_streams
+    assert beyond.total_underflows > 0
+
+
+def _headlines(points: List[PlayoutPoint]) -> list:
+    inside, beyond = points
+    return [
+        headline(
+            "underflows_at_22", inside.total_underflows, "still-frames",
+        ),
+        headline(
+            "underflows_at_24", beyond.total_underflows, "still-frames",
+        ),
+    ]
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="playout", table="playout",
+        paper_ref="§2.2.1 client playout quality across the cliff (extension)",
+        run=run_playout, render=format_playout,
+        checks=_checks, headlines=_headlines, duration_arg="duration",
+    ),
+)

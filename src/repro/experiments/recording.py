@@ -21,6 +21,7 @@ from typing import Generator, List, Sequence
 
 from repro.clients.client import Client
 from repro.core.cluster import CalliopeCluster, ClusterConfig
+from repro.experiments import Experiment, headline
 from repro.sim import Simulator
 from repro.units import CBR_PACKET_SIZE, MPEG1_RATE, to_mbyte_per_s
 
@@ -142,5 +143,30 @@ def format_recording(points: List[RecordingPoint]) -> str:
     return "\n".join(lines)
 
 
-if __name__ == "__main__":  # pragma: no cover - manual calibration aid
-    print(format_recording(run_recording()))
+def _checks(points: List[RecordingPoint]) -> None:
+    # Every packet of every recording is durably stored ...
+    assert all(p.complete for p in points)
+    # ... and the disk write backlog grows with the offered load.
+    drains = [p.drain_seconds for p in points]
+    assert drains == sorted(drains)
+    assert drains[-1] > drains[0]
+
+
+def _headlines(points: List[RecordingPoint]) -> list:
+    return [
+        headline(
+            "max_drain_seconds",
+            round(max(p.drain_seconds for p in points), 3), "seconds",
+            all_complete=all(p.complete for p in points),
+        ),
+    ]
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="recording", table="recording",
+        paper_ref="§2.3 simultaneous recording capacity (extension)",
+        run=run_recording, render=format_recording,
+        checks=_checks, headlines=_headlines, duration_arg="duration",
+    ),
+)

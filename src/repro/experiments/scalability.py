@@ -17,6 +17,7 @@ from repro.clients.fake_msu import FakeMsu
 from repro.clients.workload import OpenLoopRequester
 from repro.core.coordinator import Coordinator
 from repro.core.database import ContentEntry
+from repro.experiments import Experiment, headline
 from repro.hardware.params import ETHERNET_10
 from repro.net.network import ControlChannel, Network
 from repro.sim import Simulator
@@ -126,5 +127,31 @@ def format_scalability(result: ScalabilityResult) -> str:
     return "\n".join(lines)
 
 
-if __name__ == "__main__":  # pragma: no cover - manual calibration aid
-    print(format_scalability(run_scalability(total_requests=3000)))
+def _checks(result: ScalabilityResult) -> None:
+    import pytest  # approx; checks run under the bench
+
+    # Paper: ~60 req/s -> CPU 14%, network 6%, "relatively insignificant".
+    assert result.cpu_utilization == pytest.approx(0.14, abs=0.03)
+    assert result.network_utilization == pytest.approx(0.06, abs=0.02)
+    cpu50, net50 = result.extrapolate(50.0)
+    assert cpu50 < 0.2 and net50 < 0.1
+
+
+def _headlines(result: ScalabilityResult) -> list:
+    return [
+        headline(
+            "coordinator_cpu_utilization",
+            round(result.cpu_utilization, 4), "fraction",
+            request_rate=round(result.request_rate, 1), paper_claim=0.14,
+        ),
+    ]
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="scalability", table="scalability",
+        paper_ref="§3.3 Coordinator/network load",
+        run=run_scalability, render=format_scalability,
+        checks=_checks, headlines=_headlines,
+    ),
+)

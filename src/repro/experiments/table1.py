@@ -17,6 +17,7 @@ from typing import Generator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.experiments import Experiment, headline
 from repro.hardware import Machine, MachineParams
 from repro.hardware.params import FDDI
 from repro.sim import Simulator
@@ -129,5 +130,34 @@ def format_table1(rows: List[Table1Row]) -> str:
     return "\n".join(out)
 
 
-if __name__ == "__main__":  # pragma: no cover - manual calibration aid
-    print(format_table1(run_table1()))
+def _checks(rows: List[Table1Row]) -> None:
+    by_label = {row.label: row for row in rows}
+    # Paper shape: FDDI-only tops the chart; two active HBAs collapse it.
+    assert by_label["0 disk"].fddi_only > 8.0
+    assert (
+        by_label["2 disk (two HBA)"].combined_fddi
+        < by_label["2 disk (one HBA)"].combined_fddi * 0.65
+    )
+
+
+def _headlines(rows: List[Table1Row]) -> list:
+    by_label = {row.label: row for row in rows}
+    return [
+        headline(
+            "fddi_only_mb_s", round(by_label["0 disk"].fddi_only, 2), "MB/s",
+        ),
+        headline(
+            "two_hba_combined_fddi_mb_s",
+            round(by_label["2 disk (two HBA)"].combined_fddi, 2), "MB/s",
+        ),
+    ]
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="table1", table="table1",
+        paper_ref="Table 1: baseline measurements",
+        run=run_table1, render=format_table1,
+        checks=_checks, headlines=_headlines, duration_arg="duration",
+    ),
+)

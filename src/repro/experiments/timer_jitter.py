@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.cluster import ClusterConfig
+from repro.experiments import Experiment, headline
 from repro.experiments._support import StreamingRig, run_streaming_workload
 from repro.hardware.params import TimerParams
 from repro.media.mpeg import MpegEncoder, packetize_cbr
@@ -66,5 +67,28 @@ def format_timer_jitter(curves: Dict[float, LatenessCdf]) -> str:
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual calibration aid
-    print(format_timer_jitter(run_timer_jitter()))
+def _checks(curves: Dict[float, LatenessCdf]) -> None:
+    # Coarser clocking adds jitter, but comfortably inside the paper's
+    # 150 ms worst-case bound.
+    assert curves[10.0].max_late_ms > curves[0.0].max_late_ms
+    assert curves[10.0].max_late_ms <= 150.0
+
+
+def _headlines(curves: Dict[float, LatenessCdf]) -> list:
+    return [
+        headline(
+            "max_late_ms_10ms_timer",
+            round(curves[10.0].max_late_ms, 2), "ms",
+            cycle_counter=round(curves[0.0].max_late_ms, 2),
+        ),
+    ]
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="timer", table="timer_jitter",
+        paper_ref="§2.2.1 timer-granularity jitter",
+        run=run_timer_jitter, render=format_timer_jitter,
+        checks=_checks, headlines=_headlines, duration_arg="duration",
+    ),
+)

@@ -25,6 +25,7 @@ from typing import List
 from repro.clients.client import Client
 from repro.clients.population import ViewerPopulation
 from repro.core.cluster import CalliopeCluster, ClusterConfig
+from repro.experiments import Experiment, headline
 from repro.media.mpeg import MpegEncoder, packetize_cbr
 from repro.sim import Simulator
 from repro.storage.ibtree import IBTreeConfig
@@ -139,5 +140,31 @@ def format_vod_load(points: List[VodLoadPoint]) -> str:
     return "\n".join(lines)
 
 
-if __name__ == "__main__":  # pragma: no cover - manual calibration aid
-    print(format_vod_load(run_vod_load()))
+def _checks(points: List[VodLoadPoint]) -> None:
+    # Blocking is monotone in offered load and concurrency never exceeds
+    # the MSU's stream capacity.
+    blocking = [p.blocking_probability for p in points]
+    assert blocking == sorted(blocking)
+    assert points[0].blocking_probability < 0.02
+    assert points[-1].blocking_probability > 0.15
+    assert all(p.concurrent_peak <= 23 for p in points)
+
+
+def _headlines(points: List[VodLoadPoint]) -> list:
+    return [
+        headline(
+            "peak_blocking_probability",
+            round(points[-1].blocking_probability, 4), "fraction",
+            concurrent_peak=max(p.concurrent_peak for p in points),
+        ),
+    ]
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="vod-load", table="vod_load",
+        paper_ref="§3.3 offered-load admission sweep (extension)",
+        run=run_vod_load, render=format_vod_load,
+        checks=_checks, headlines=_headlines, duration_arg="duration",
+    ),
+)

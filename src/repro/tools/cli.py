@@ -14,8 +14,9 @@ Usage::
     python -m repro.tools.cli edge --edges 2 --duration 30
     python -m repro.tools.cli live --channels 3 --surfers 55
 
-Each experiment subcommand runs the corresponding runner and prints the
-same rows/series the paper reports (see EXPERIMENTS.md).  ``verify``
+Each experiment subcommand is an entry of ``repro.experiments.REGISTRY``:
+it runs at the entry's defaults (``--duration``, if given, sets the window
+of those that have one) and prints the table (see EXPERIMENTS.md).  ``verify``
 runs the chaos harness instead: seed-deterministic fault schedules with
 cross-subsystem invariant checking (DESIGN.md §9); a failing schedule is
 shrunk and written to a replayable repro file.  ``--shards``/``--standby``
@@ -29,188 +30,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, Optional
+from typing import Optional
 
-__all__ = ["main", "EXPERIMENTS", "follow_journal"]
+from repro.experiments import REGISTRY
 
-
-def _table1(duration: Optional[float]) -> str:
-    from repro.experiments.table1 import format_table1, run_table1
-
-    return format_table1(run_table1(duration=duration or 20.0))
-
-
-def _graph1(duration: Optional[float]) -> str:
-    from repro.experiments.graph1 import format_graph1, run_graph1
-
-    return format_graph1(run_graph1(duration=duration or 60.0))
-
-
-def _graph2(duration: Optional[float]) -> str:
-    from repro.experiments.graph2 import format_graph2, run_graph2
-
-    return format_graph2(run_graph2(duration=duration or 60.0))
-
-
-def _graph2_single(duration: Optional[float]) -> str:
-    from repro.experiments.graph2 import format_graph2, run_graph2
-
-    curves = run_graph2(
-        stream_counts=(11, 15), duration=duration or 60.0, single_file=True
-    )
-    return format_graph2(curves, single_file=True)
-
-
-def _memorypath(duration: Optional[float]) -> str:
-    from repro.experiments.memorypath import format_memorypath, run_memorypath
-
-    return format_memorypath(run_memorypath(duration=duration or 20.0))
-
-
-def _scalability(duration: Optional[float]) -> str:
-    from repro.experiments.scalability import format_scalability, run_scalability
-
-    return format_scalability(run_scalability())
-
-
-def _elevator(duration: Optional[float]) -> str:
-    from repro.experiments.elevator import format_elevator, run_elevator
-
-    return format_elevator(run_elevator(duration=duration or 60.0))
-
-
-def _ibtree(duration: Optional[float]) -> str:
-    from repro.experiments.ibtree_ablation import (
-        format_ibtree_ablation,
-        run_ibtree_ablation,
-    )
-
-    return format_ibtree_ablation(run_ibtree_ablation())
-
-
-def _timer(duration: Optional[float]) -> str:
-    from repro.experiments.timer_jitter import format_timer_jitter, run_timer_jitter
-
-    return format_timer_jitter(run_timer_jitter(duration=duration or 30.0))
-
-
-def _striping(duration: Optional[float]) -> str:
-    from repro.experiments.striping import format_striping, run_striping
-
-    return format_striping(run_striping(duration=duration or 60.0))
-
-
-def _replication(duration: Optional[float]) -> str:
-    from repro.experiments.replication import format_replication, run_replication
-
-    return format_replication(run_replication())
-
-
-def _vod_load(duration: Optional[float]) -> str:
-    from repro.experiments.vod_load import format_vod_load, run_vod_load
-
-    return format_vod_load(run_vod_load(duration=duration or 200.0))
-
-
-def _recording(duration: Optional[float]) -> str:
-    from repro.experiments.recording import format_recording, run_recording
-
-    return format_recording(run_recording(duration=duration or 20.0))
-
-
-def _playout(duration: Optional[float]) -> str:
-    from repro.experiments.playout import format_playout, run_playout
-
-    return format_playout(run_playout(duration=duration or 45.0))
-
-
-def _cache(duration: Optional[float]) -> str:
-    from repro.experiments.cache import format_cache, run_cache
-
-    return format_cache(run_cache(duration=duration or 200.0))
-
-
-def _failover(duration: Optional[float]) -> str:
-    from repro.experiments.failover import format_failover, run_failover
-
-    return format_failover(run_failover())
-
-
-def _multicast(duration: Optional[float]) -> str:
-    from repro.experiments.multicast import format_multicast, run_multicast
-
-    return format_multicast(run_multicast(duration=duration or 120.0))
-
-
-def _recovery(duration: Optional[float]) -> str:
-    from repro.experiments.recovery import format_recovery, run_recovery
-
-    return format_recovery(run_recovery())
-
-
-def _edge_cache(duration: Optional[float]) -> str:
-    from repro.experiments.edge import format_edge, run_edge
-
-    return format_edge(run_edge(duration=duration or 120.0))
-
-
-def _live_tv(duration: Optional[float]) -> str:
-    from repro.experiments.live import format_live, run_live, run_live_chaos
-
-    return format_live(
-        run_live(broadcast_seconds=duration or 24.0), run_live_chaos()
-    )
-
-
-def _cluster_scale(duration: Optional[float]) -> str:
-    from repro.experiments.cluster_scale import (
-        format_cluster_scale,
-        run_cluster_scale,
-    )
-
-    return format_cluster_scale(run_cluster_scale(duration=duration or 20.0))
-
-
-def _scaleout(duration: Optional[float]) -> str:
-    from repro.experiments.scaleout import (
-        format_scaleout,
-        run_sharding,
-        run_takeover,
-    )
-
-    return format_scaleout(run_takeover(), run_sharding())
-
-
-#: name -> (runner, paper reference)
-EXPERIMENTS: Dict[str, tuple] = {
-    "table1": (_table1, "Table 1: baseline measurements"),
-    "graph1": (_graph1, "Graph 1: constant-rate delivery distribution"),
-    "graph2": (_graph2, "Graph 2: variable-rate delivery distribution"),
-    "graph2-single-file": (_graph2_single, "§3.2.2 single-file capacity drop"),
-    "memorypath": (_memorypath, "§3.2.3 memory-path bottleneck"),
-    "scalability": (_scalability, "§3.3 Coordinator/network load"),
-    "elevator": (_elevator, "§2.3.3 elevator scheduling gain"),
-    "ibtree": (_ibtree, "§2.2.1 IB-tree integration ablation"),
-    "timer": (_timer, "§2.2.1 timer-granularity jitter"),
-    "striping": (_striping, "§2.3.3 striping trade-off"),
-    "replication": (_replication, "§2.3.3 replication alternative (extension)"),
-    "vod-load": (_vod_load, "§3.3 offered-load admission sweep (extension)"),
-    "cache": (_cache, "§2.3.3 interval/prefix caching vs. no cache (extension)"),
-    "cluster-scale": (_cluster_scale, "abstract/§3.3 scaling by adding MSUs (extension)"),
-    "playout": (_playout, "§2.2.1 client playout quality across the cliff (extension)"),
-    "recording": (_recording, "§2.3 simultaneous recording capacity (extension)"),
-    "failover": (_failover, "§2.2 MSU failover: heartbeats + migration (extension)"),
-    "multicast": (_multicast, "§2.2/§3.2 multicast channels + patching (extension)"),
-    "edge-cache": (_edge_cache, "abstract edge proxy tier vs. multicast alone (extension)"),
-    "live-tv": (_live_tv, "§2.3 live channels + time-shift rings (extension)"),
-    "coordinator-recovery": (
-        _recovery, "§2.2 Coordinator WAL replay + reconciliation (extension)"
-    ),
-    "coordinator-scaleout": (
-        _scaleout,
-        "§2.2 warm-standby takeover + sharded admission (E24, extension)",
-    ),
-}
+__all__ = ["main", "follow_journal"]
 
 
 def _parse_seeds(spec: str) -> list:
@@ -689,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["list", "all"],
+        choices=list(REGISTRY) + ["list", "all"],
         help="which experiment to run ('list' prints descriptions)",
     )
     parser.add_argument(
@@ -713,14 +537,13 @@ def main(argv=None) -> int:
         return live_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
-        width = max(len(name) for name in EXPERIMENTS)
-        for name in sorted(EXPERIMENTS):
-            print(f"{name:<{width}}  {EXPERIMENTS[name][1]}")
+        width = max(len(name) for name in REGISTRY)
+        for name, experiment in REGISTRY.items():
+            print(f"{name:<{width}}  {experiment.paper_ref}")
         return 0
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    names = list(REGISTRY) if args.experiment == "all" else [args.experiment]
     for name in names:
-        runner, _ = EXPERIMENTS[name]
-        print(runner(args.duration))
+        print(REGISTRY[name].report(args.duration))
         print()
     return 0
 

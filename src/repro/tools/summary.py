@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.tools.summary --out report.md [--duration 30]
 
-Runs every table/figure runner (EXPERIMENTS.md's benchmark set at
+Runs every entry of ``repro.experiments.REGISTRY`` (the benchmark set, at
 configurable scale) and emits a single markdown document with each
 experiment's rendered output — the quickest way to audit the whole
 reproduction after a change.
@@ -17,14 +17,15 @@ import sys
 import time
 from typing import Optional
 
-from repro.tools.cli import EXPERIMENTS, positive_seconds
+from repro.experiments import REGISTRY
+from repro.tools.cli import positive_seconds
 
 __all__ = ["generate", "main"]
 
 
 def generate(duration: Optional[float] = None, names=None) -> str:
     """Run experiments and return the markdown report."""
-    chosen = sorted(names) if names else sorted(EXPERIMENTS)
+    chosen = sorted(names) if names else list(REGISTRY)
     parts = [
         "# Calliope reproduction report",
         "",
@@ -35,11 +36,11 @@ def generate(duration: Optional[float] = None, names=None) -> str:
         "",
     ]
     for name in chosen:
-        runner, description = EXPERIMENTS[name]
+        experiment = REGISTRY[name]
         started = time.perf_counter()
-        output = runner(duration)
+        output = experiment.report(duration)
         elapsed = time.perf_counter() - started
-        parts.append(f"## {name} — {description}")
+        parts.append(f"## {name} — {experiment.paper_ref}")
         parts.append("")
         parts.append("```")
         parts.append(output)

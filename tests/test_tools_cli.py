@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.tools.cli import EXPERIMENTS, build_parser, main
+from repro.experiments import REGISTRY
+from repro.tools.cli import build_parser, main
 
 
 class TestParser:
     def test_every_experiment_is_a_choice(self):
         parser = build_parser()
-        for name in EXPERIMENTS:
+        for name in REGISTRY:
             args = parser.parse_args([name])
             assert args.experiment == name
 
@@ -25,7 +26,7 @@ class TestMain:
     def test_list_prints_descriptions(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
+        for name in REGISTRY:
             assert name in out
 
     def test_runs_fast_experiment(self, capsys):
@@ -41,7 +42,7 @@ class TestMain:
 
 class TestEdgeSubcommand:
     def test_edge_cache_is_an_experiment_choice(self):
-        assert "edge-cache" in EXPERIMENTS
+        assert "edge-cache" in REGISTRY
         args = build_parser().parse_args(["edge-cache"])
         assert args.experiment == "edge-cache"
 
@@ -59,7 +60,7 @@ class TestEdgeSubcommand:
 
 class TestLiveSubcommand:
     def test_live_tv_is_an_experiment_choice(self):
-        assert "live-tv" in EXPERIMENTS
+        assert "live-tv" in REGISTRY
         args = build_parser().parse_args(["live-tv"])
         assert args.experiment == "live-tv"
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.tools.cli import EXPERIMENTS
+from repro.experiments import REGISTRY
 from repro.tools.summary import generate, main
 
 
@@ -15,7 +15,7 @@ class TestGenerate:
 
     def test_all_names_known(self):
         # Names the summary iterates are exactly the CLI registry.
-        report_names = sorted(EXPERIMENTS)
+        report_names = sorted(REGISTRY)
         assert "table1" in report_names and "graph1" in report_names
 
 
