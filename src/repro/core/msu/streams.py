@@ -296,6 +296,8 @@ class PatchStream(PlayStream):
 class RecordStream:
     """One recording stream: a protocol context, a writer, pending pages."""
 
+    is_channel = False
+
     def __init__(
         self,
         stream_id: int,

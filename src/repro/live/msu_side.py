@@ -3,7 +3,9 @@
 A live channel is a multicast channel whose file is recorded as it
 plays.  :class:`MsuLive` handles ``LiveOpen`` and ``LiveStop`` and owns
 ``Msu.live``; the core MSU calls it for viewer VCR commands, recorded
-pages, the ingest draining and crashes.
+pages and the ingest draining.  As an
+:class:`~repro.core.msu.parts.MsuPart` it forgets its channels when the
+MSU halts.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional
 
+from repro.core.msu.parts import MsuPart
 from repro.core.msu.streams import PatchStream, RecordStream
 from repro.net import messages as m
 from repro.storage.filesystem import FileHandle
@@ -39,7 +42,7 @@ class LiveState:
     pages_trimmed: int = 0
 
 
-class MsuLive:
+class MsuLive(MsuPart):
     """One MSU's live channels."""
 
     def __init__(self, msu: "Msu"):
@@ -192,7 +195,7 @@ class MsuLive:
         if live is not None:
             self._by_record.pop(live.record.stream_id, None)
 
-    def drop(self) -> None:
-        """Forget every live channel (crash/hang)."""
+    def halt(self, cause: str) -> None:
+        """Forget every live channel."""
         self.channels.clear()
         self._by_record.clear()

@@ -1,8 +1,10 @@
 """The MSU side of multicast: channel streams, subscribers and patches.
 
 :class:`MsuMulticast` handles ``ChannelCreate`` and ``ChannelSubscribe``
-and owns ``Msu.channels``; the core MSU calls it for subscriber VCR
-commands, quits, stream ends, heartbeats, state reports and crashes.
+and owns ``Msu.channels``.  The core MSU calls it for subscriber VCR
+commands, quits and stream ends; as an
+:class:`~repro.core.msu.parts.MsuPart` it also adds heartbeat positions
+and ``StateReport`` channels and forgets its channels when the MSU halts.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+from repro.core.msu.parts import MsuPart
 from repro.core.msu.streams import ChannelStream, PatchStream, PlayStream
 from repro.net import messages as m
 
@@ -33,7 +36,7 @@ class ChannelState:
     subscribers: Dict[int, tuple] = field(default_factory=dict)
 
 
-class MsuMulticast:
+class MsuMulticast(MsuPart):
     """One MSU's multicast channels and their subscribers."""
 
     def __init__(self, msu: "Msu"):
@@ -219,8 +222,8 @@ class MsuMulticast:
             for group_id, (stream_id, _addr) in sorted(ch.subscribers.items())
         )
 
-    def report(self) -> Tuple[tuple, tuple]:
-        """``(channels, live_channels)`` as ``StateReport`` carries them."""
+    def report(self) -> dict:
+        """``channels`` and ``live_channels`` as ``StateReport`` carries them."""
         channels, live_channels = [], []
         for channel_id in sorted(self.channels):
             ch = self.channels[channel_id]
@@ -235,10 +238,10 @@ class MsuMulticast:
                 live_channels.append(row + (ch.stream.rate, members))
             else:
                 channels.append(row + (members,))
-        return tuple(channels), tuple(live_channels)
+        return dict(channels=tuple(channels), live_channels=tuple(live_channels))
 
-    def drop(self) -> None:
-        """Forget every channel and its fan-out memberships (crash/hang)."""
+    def halt(self, cause: str) -> None:
+        """Forget every channel and its fan-out memberships."""
         for ch in self.channels.values():
             for _group_id, (_stream_id, address) in ch.subscribers.items():
                 self.msu.host.network.leave_group(ch.mcast_host, address)
