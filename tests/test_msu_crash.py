@@ -97,6 +97,45 @@ class TestCrash:
         assert not cluster.coordinator.db.msus["msu0"].available
 
 
+class TestPartitionRejoin:
+    """A partitioned MSU keeps running until it rejoins, then restarts.
+
+    The Coordinator treated its streams as failed and resumes them when
+    the MSU says hello again, so the reboot must forget what the MSU was
+    still serving: each stream is installed once, and packets flow.
+    """
+
+    def rejoin_after_partition(self):
+        sim, cluster, _ = build()
+        client, view = start_stream(sim, cluster)
+        cluster.fail_msu(0)  # partition: the machine keeps running
+        sim.run(until=sim.now + 1.0)
+        cluster.rejoin_msu(0)
+        sim.run(until=sim.now + 1.0)
+        return sim, cluster.msus[0], client, view
+
+    @staticmethod
+    def served(msu):
+        disk = [s.stream_id for p in msu.disk_processes.values()
+                for s in p.play_streams]
+        return disk, [s.stream_id for s in msu.iop.play_streams]
+
+    def test_the_resumed_stream_is_installed_once_and_plays(self):
+        sim, msu, client, view = self.rejoin_after_partition()
+        (stream,) = msu.groups[view.group_id].play_streams
+        assert self.served(msu) == ([stream.stream_id], [stream.stream_id])
+        before = client.ports["tv"].stats.packets
+        sim.run(until=sim.now + 3.0)
+        assert client.ports["tv"].stats.packets - before > 500
+
+    def test_quit_after_the_rejoin_leaves_nothing_behind(self):
+        sim, msu, client, view = self.rejoin_after_partition()
+        client.quit(view.group_id)
+        sim.run(until=sim.now + 1.0)
+        assert view.group_id not in msu.groups
+        assert self.served(msu) == ([], [])
+
+
 class TestCrashWhileScheduling:
     """The MSU dies inside the Coordinator's SCHEDULE_CPU hold.
 
