@@ -141,6 +141,14 @@ class IntervalCache:
             for page in pages.values()
         )
 
+    def holders(self) -> Set[int]:
+        """Stream ids holding a position or a claim on a retained page."""
+        ids = {sid for positions in self._positions.values() for sid in positions}
+        for pages in self._pages.values():
+            for page in pages.values():
+                ids |= page.claims
+        return ids
+
     def unclaimed_pages(self) -> int:
         """Retained pages with an empty claim set — must always be zero
         (a page's last claimant evicts it on consumption)."""

@@ -272,13 +272,26 @@ def check_multicast_drain(cluster) -> List[str]:
 
 
 def check_cache_balance(cluster) -> List[str]:
-    """Every MSU pool byte is explained by a retained or pinned page."""
+    """Every MSU pool byte is explained by a retained or pinned page, and
+    only a stream the MSU's disk processes serve holds an interval-cache
+    position or claim (a down MSU serves none)."""
     problems = []
     for msu in cluster.msus:
         if msu.cache is None:
             continue
         for detail in msu.cache.audit():
             problems.append(f"{msu.name}: {detail}")
+        served = {
+            stream.stream_id
+            for proc in msu.disk_processes.values()
+            for stream in proc.play_streams
+        } if msu.up else set()
+        stale = msu.cache.interval.holders() - served
+        if stale:
+            problems.append(
+                f"{msu.name}: interval cache held for streams no disk "
+                f"process serves: {sorted(stale)}"
+            )
     return problems
 
 

@@ -245,6 +245,21 @@ PINNED_PLANS = {
         (16.1356, "msu_crash", {"msu": 0}),
         (16.7974, "coordinator_restart", {}),
     ]),
+    # Shrunk from generated seed 12 (50 ops): a viewer that gave up left
+    # while its disk read was in flight; the completed read's cache fill
+    # registered it again, so the interval cache held a position for a
+    # stream no disk process served (fix: the disk process fills the
+    # cache only for streams it still serves).
+    "in-flight-read-reregisters-viewer": plan(12, [
+        (12.4171, "client_join", {"title": 1, "patience": 3.74}),
+    ]),
+    # Shrunk from generated seed 4 (50 ops): a hang cleared the disk
+    # processes' stream lists without telling the page cache, so every
+    # halted stream kept its interval-cache position and claims (fix:
+    # the halt releases each stream through DiskProcess.remove).
+    "hang-keeps-interval-claims": plan(4, [
+        (5.3759, "msu_hang", {"msu": 0}),
+    ]),
 }
 
 
