@@ -4,14 +4,18 @@
 handler that serves it.  The core installs the unicast kinds; the MSU
 sides of multicast, live TV and the page cache install theirs.  These
 tests pin that ownership and show that a message kind defined outside
-``src/`` rides the same dispatch, in arrival order.
+``src/`` rides the same dispatch, in arrival order.  The same parts are
+listed in ``Msu.parts``, which the MSU's lifecycle paths walk.
 """
 
+import ast
 import dataclasses
 import inspect
+import textwrap
 
 from repro.cache.manager import CacheConfig
 from repro.core.msu.msu import Msu
+from repro.core.msu.parts import MsuPart
 from repro.hardware.params import MachineParams
 from repro.media import MpegEncoder, packetize_cbr
 from repro.net import messages as m
@@ -47,12 +51,12 @@ def build_msu(sim, cache=True):
 
 
 def owner_of(msu, handler):
-    if handler.__self__ is msu:
+    """``"core"``, or the name of the MSU attribute holding the part."""
+    part = handler.__self__
+    if part is msu:
         return "core"
-    (name,) = [
-        attr for attr in ("multicast_part", "live_part", "cache_part")
-        if getattr(msu, attr) is handler.__self__
-    ]
+    assert any(part is installed for installed in msu.parts)
+    (name,) = [attr for attr, value in vars(msu).items() if value is part]
     return name
 
 
@@ -144,3 +148,63 @@ class TestSeam:
             ("after-read", [7]), ("report", [7]), ("after-report", [7]),
         ]
         assert msu.streams_served == 1
+
+
+#: The MSU paths that walk ``Msu.parts`` and name no part.
+WALKERS = ("attach_coordinator", "_heartbeat_loop", "state_report",
+           "_delete_file", "crash", "hang", "_halt", "reboot")
+PART_NAMES = {"multicast_part", "live_part", "cache_part", "cache"}
+
+
+class Recorder(MsuPart):
+    """A part no module of ``src/`` knows about."""
+
+    def __init__(self):
+        self.calls = []
+
+    def attached(self, channel):
+        self.calls.append("attached")
+
+    def halt(self, cause):
+        self.calls.append(f"halt:{cause}")
+
+    def file_deleted(self, disk_id, content_name):
+        self.calls.append(f"deleted:{content_name}")
+
+
+class TestParts:
+    def test_parts_are_the_configured_subsystems(self):
+        msu = build_msu(Simulator())
+        assert msu.parts == [msu.multicast_part, msu.live_part, msu.cache_part]
+        bare = build_msu(Simulator(), cache=False)
+        assert bare.parts == [bare.multicast_part, bare.live_part]
+
+    def test_lifecycle_paths_name_no_part(self):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(Msu)))
+        bodies = {
+            node.name: node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in WALKERS
+        }
+        assert set(bodies) == set(WALKERS)
+        for name, body in bodies.items():
+            named = {
+                node.attr for node in ast.walk(body)
+                if isinstance(node, ast.Attribute)
+            }
+            assert not named & PART_NAMES, name
+
+    def test_an_added_part_is_attached_told_of_deletes_and_halted(self):
+        sim = Simulator()
+        msu = build_msu(sim)
+        disk = msu.disk_ids()[0]
+        packets = packetize_cbr(MpegEncoder(seed=1).bitstream(2.0), MPEG1_RATE, 1024)
+        msu.admin_load(disk, "movie", "mpeg1", packets)
+        part = Recorder()
+        msu.parts.append(part)
+        msu.attach_coordinator(ControlChannel(sim, "coord", "m0"))
+        msu.handlers[m.DeleteFile](m.DeleteFile("movie", disk))
+        msu.hang()
+        msu.reboot()
+        assert part.calls == [
+            "attached", "deleted:movie", "halt:hang", "halt:reboot",
+        ]
