@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Dict, Generator, List, Optional
 
+from repro.core.msu.parts import stop
 from repro.core.msu.queues import Signal
 from repro.core.msu.streams import PlayStream, RecordStream, StreamState
 from repro.storage.ibtree import KIND_CONTROL
@@ -86,7 +87,17 @@ class NetworkProcess:
         self.packets_sent = 0
         self._due: List[tuple] = []  # the earliest-deadline heap
         self._due_sets = -1  # wakeup.set_count at the last rebuild
-        self._proc = sim.process(self.run(), name="iop")
+        self.start()
+
+    def start(self) -> None:
+        """Start a fresh send loop (construction and MSU reboot)."""
+        self._proc = self.sim.process(self.run(), name="iop")
+
+    def halt(self, cause: str) -> None:
+        """Stop the send loop and forget every stream (the MSU halted)."""
+        stop(self._proc, cause)
+        self.play_streams.clear()
+        self.record_streams.clear()
 
     # -- stream management -------------------------------------------------
 
