@@ -17,6 +17,9 @@ through lock-free shared-memory queues:
   processes and the control loop, which dispatches Coordinator messages
   through ``Msu.handlers``; multicast, live TV and the page cache install
   theirs from their own packages' ``msu_side`` modules.
+* :mod:`repro.core.msu.parts` — the base of those ``msu_side`` parts:
+  the hooks the MSU's attach, report, delete, crash, hang and reboot
+  paths call on every part in ``Msu.parts``.
 """
 
 from repro.core.msu.msu import Msu
