@@ -436,12 +436,16 @@ class Msu:
         fs = self.filesystems.get(msg.disk_id)
         if fs is None or not fs.exists(msg.content_name):
             return
-        fs.delete(msg.content_name)
-        for part in self.parts:
-            part.file_deleted(msg.disk_id, msg.content_name)
+        self.unlink(msg.disk_id, msg.content_name)
         # Deletes are durable: a remount must not resurrect a torn-down
         # live ring as an orphan file.
         self.sim.process(fs.sync_metadata(), name=f"{self.name}.sync")
+
+    def unlink(self, disk_id: str, content_name: str) -> None:
+        """Remove a stored file in memory and tell the parts."""
+        self.filesystems[disk_id].delete(content_name)
+        for part in self.parts:
+            part.file_deleted(disk_id, content_name)
 
     # -- VCR handling --------------------------------------------------------------
 

@@ -5,7 +5,7 @@ plays.  :class:`MsuLive` handles ``LiveOpen`` and ``LiveStop`` and owns
 ``Msu.live``; the core MSU calls it for viewer VCR commands, recorded
 pages and the ingest draining.  As an
 :class:`~repro.core.msu.parts.MsuPart` it forgets its channels when the
-MSU halts.
+MSU halts, deleting their time-shift rings with them.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ class MsuLive(MsuPart):
         self.channels: Dict[int, LiveState] = {}
         #: ingest stream id -> live channel id (ring-trim dispatch).
         self._by_record: Dict[int, int] = {}
+        #: content name -> disk id of each time-shift ring still on disk.
+        self.rings: Dict[str, str] = {}
         msu.handlers[m.LiveOpen] = self.open
         msu.handlers[m.LiveStop] = self.stop
 
@@ -75,6 +77,8 @@ class MsuLive(MsuPart):
             msg.channel_id, record, record.handle, msg.ring_blocks
         )
         self._by_record[msg.ingest_stream_id] = msg.channel_id
+        if msg.ring_blocks > 0:
+            self.rings[msg.content_name] = msg.disk_id
         msu._attach(record, ingest_group, msg.disk_id, socket)
         msu.streams_served += 2
         msu._trace("live-open", msg.content_name,
@@ -195,7 +199,20 @@ class MsuLive(MsuPart):
         if live is not None:
             self._by_record.pop(live.record.stream_id, None)
 
+    def file_deleted(self, disk_id: str, content_name: str) -> None:
+        if self.rings.get(content_name) == disk_id:
+            del self.rings[content_name]
+
     def halt(self, cause: str) -> None:
-        """Forget every live channel."""
+        """Forget every live channel and delete every ring.
+
+        A pure-live ring has no afterlife, and the Coordinator that would
+        send its ``DeleteFile`` has written the channel off (or will, when
+        it sees the halt), including one whose fan-out drained while the
+        MSU was cut off from it.  A trimmed ring is never persisted
+        (``FileSystem._serialize``), so no metadata sync follows.
+        """
         self.channels.clear()
         self._by_record.clear()
+        for content_name, disk_id in sorted(self.rings.items()):
+            self.msu.unlink(disk_id, content_name)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.clients import Client
 from repro.core import CalliopeCluster, ClusterConfig
-from repro.errors import StorageError
+from repro.errors import CalliopeError, StorageError
 from repro.failover import FailoverConfig
 from repro.live import ChannelSpec, LiveConfig, LiveSource
 from repro.net import messages as m
@@ -338,3 +338,59 @@ class TestFailures:
         )
         state = coord.db.msus[home]
         assert not state.available
+
+    def test_ring_of_broadcast_ended_during_coordinator_outage_is_deleted(self):
+        spec = ChannelSpec("news", "mpeg1", "feed0", start_at=0.5,
+                           duration_seconds=4.0)
+        sim, cluster, _ = build_live([spec], ring_seconds=2.0)
+        sim.at(2.0, cluster.crash_coordinator)
+        sim.at(9.0, cluster.restart_coordinator)
+        sim.run(until=12.0)
+        # The broadcast signed off while nobody was there to close it;
+        # reconciliation retires the title and deletes the ring.
+        assert cluster.coordinator.live_manager.channels == {}
+        assert "news" not in cluster.coordinator.db.contents
+        msu = cluster.msus[0]
+        assert not any(fs.exists("news") for fs in msu.filesystems.values())
+
+        client = Client(sim, cluster, "c0")
+
+        def tune():
+            yield from client.open_session("user")
+            yield from client.register_port("tv", "mpeg1")
+            try:
+                yield from client.play("news", "tv")
+            except CalliopeError as err:
+                return str(err)
+
+        proc = sim.process(tune())
+        sim.run_until_event(proc, limit=14.0)
+        assert proc.value == "no content named 'news'"
+        assert_drained(cluster)
+
+    @pytest.mark.parametrize("mode", ["crash", "hang", "partition"])
+    def test_msu_failure_deletes_ring_before_rejoin(self, mode):
+        spec = ChannelSpec("news", "mpeg1", "feed0", start_at=0.5,
+                           duration_seconds=6.0)
+        sim, cluster, _ = build_live(
+            [spec], ring_seconds=2.0, n_msus=2, failover="fast",
+        )
+        sim.run(until=4.0)
+        mgr = cluster.coordinator.live_manager
+        home = next(iter(mgr.channels.values())).msu_name
+        index = [msu.name for msu in cluster.msus].index(home)
+        if mode == "hang":
+            cluster.hang_msu(index)
+        else:
+            cluster.fail_msu(index, crash=mode == "crash")
+        sim.run(until=8.0)
+        cluster.rejoin_msu(index)
+        sim.run(until=20.0)
+        # The Coordinator wrote the channel off without a DeleteFile; the
+        # MSU's halt deleted the ring, so no file outlives the channel.
+        assert mgr.channels == {}
+        assert "news" not in cluster.coordinator.db.contents
+        msu = cluster.msus[index]
+        assert msu.live == {}
+        assert not any(fs.exists("news") for fs in msu.filesystems.values())
+        assert_drained(cluster)

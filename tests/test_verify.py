@@ -260,6 +260,22 @@ PINNED_PLANS = {
     "hang-keeps-interval-claims": plan(4, [
         (5.3759, "msu_hang", {"msu": 0}),
     ]),
+    # Shrunk from generated seeds 4, 12 and 11 (50 ops): a pure-live
+    # channel's ring outlived it.  A crashed or hung MSU forgot the
+    # channel the Coordinator had written off without a DeleteFile, and
+    # a Coordinator restarted after the broadcast signed off forgot the
+    # record but kept the title (fix: the MSU's halt deletes its rings;
+    # reconciliation closes an off-air channel like a sign-off does).
+    "msu-crash-keeps-live-ring": plan(4, [
+        (6.753, "msu_crash", {"msu": 1}),
+    ]),
+    "msu-hang-keeps-live-ring": plan(12, [
+        (4.4859, "msu_hang", {"msu": 0}),
+    ]),
+    "outage-sign-off-keeps-live-ring": plan(11, [
+        (1.9676, "live_ingest_stall", {"channel": 0, "duration": 1.38}),
+        (7.9832, "coordinator_crash", {}),
+    ]),
 }
 
 
