@@ -11,7 +11,7 @@ tables for the Coordinator's crash recovery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.admission import Allocation
 from repro.core.database import Customer
@@ -181,6 +181,13 @@ class StreamTables(Part):
         self.groups[group.group_id] = group
         if session is not None and group.group_id not in session.active_groups:
             session.active_groups.append(group.group_id)
+
+    def held_allocations(self) -> Iterator[Allocation]:
+        """Every group's allocations: groups by id, streams by id."""
+        for group_id in sorted(self.groups):
+            allocations = self.groups[group_id].allocations
+            for stream_id in sorted(allocations):
+                yield allocations[stream_id]
 
     def drop(self, group: GroupRecord) -> None:
         """Forget a finished or failed group and its session's reference."""

@@ -12,7 +12,9 @@ subsystem manager — is a :class:`Part`.  A part owns, next to its state:
   ``coord.install(kind, handler)`` when it is built;
 * lifecycle — the no-op hooks :meth:`Part.msu_failed`,
   :meth:`Part.handle_terminated`, :meth:`Part.protected_groups` and
-  :meth:`Part.activate`.
+  :meth:`Part.activate`;
+* books — :meth:`Part.held_allocations`, the admission charges it holds
+  (what :mod:`repro.recovery.reconcile` rebuilds the books from).
 
 The Coordinator keeps the parts it actually has in ``coord.parts``;
 :mod:`repro.recovery.state`, :mod:`repro.recovery.reconcile` and the
@@ -31,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import typing
-from typing import Any, Callable, ClassVar, Dict, Tuple
+from typing import Any, Callable, ClassVar, Dict, Iterable, Tuple
 
 __all__ = ["Part", "image", "from_image"]
 
@@ -73,6 +75,10 @@ class Part:
 
     def activate(self) -> None:
         """Start the background work a warm-standby shadow suppressed."""
+
+    def held_allocations(self) -> Iterable:
+        """Every admission charge this part holds, in a fixed order."""
+        return ()
 
 
 def _same(value):

@@ -76,17 +76,10 @@ def reconcile(
 
 
 def _held(coord: "Coordinator") -> Iterator["Allocation"]:
-    """Every surviving allocation: groups by id, streams by id, then
-    unreleased multicast channels by id."""
-    for group in sorted(coord.groups.values(), key=lambda g: g.group_id):
-        for stream_id in sorted(group.allocations):
-            yield group.allocations[stream_id]
-    manager = coord.channel_manager
-    if manager is not None:
-        for channel_id in sorted(manager.channels):
-            record = manager.channels[channel_id]
-            if not record.released:
-                yield record.allocation
+    """Every surviving allocation, part by part in ``coord.parts`` order:
+    groups by id and streams by id, then multicast channels by id."""
+    for part in coord.parts:
+        yield from part.held_allocations()
 
 
 def rebuild_books(coord: "Coordinator") -> None:
