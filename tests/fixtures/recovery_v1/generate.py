@@ -15,7 +15,7 @@ the Coordinator, and writes three files next to this script:
 ``tests/test_recovery_fixture.py`` loads the first two and checks that
 today's replay still lands on the committed snapshot;
 ``tests/test_state_report_fixture.py`` reruns the cluster and compares
-its samples with the third.  Usage::
+its journal and samples with the first and the third.  Usage::
 
     PYTHONPATH=src python tests/fixtures/recovery_v1/generate.py [outdir]
 """

@@ -7,13 +7,17 @@ failover, live TV, one edge, two admission shards; seed 10).  The samples
 cover active streams, multicast channels, live channels and pinned
 prefixes.  A change to how the MSU installs, tears down or reports its
 streams, channels, rings or pins that alters what a restarted Coordinator
-would be told fails here.  ``tests/fixtures/recovery_v1/generate.py``
-regenerates the file.
+would be told fails here.  The same run's journal must also equal the
+committed ``journal.json``, so a change to what the Coordinator logs
+fails here too.  ``tests/fixtures/recovery_v1/generate.py`` regenerates
+both files.
 """
 
 import importlib.util
 import json
 import pathlib
+
+import pytest
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "recovery_v1"
 
@@ -36,8 +40,20 @@ def test_samples_cover_every_report_section():
     assert max(len(r["streams"]) for r in reports) == 20
 
 
-def test_fresh_run_reports_the_committed_samples():
+@pytest.fixture(scope="module")
+def fresh_run():
     gen = _generator()
-    _store, samples = gen.run_to_crash()
+    store, samples = gen.run_to_crash()
+    return gen, store, samples
+
+
+def test_fresh_run_reports_the_committed_samples(fresh_run):
+    gen, _store, samples = fresh_run
     committed = (FIXTURE / "state_reports.json").read_text()
     assert gen.state_reports_json(samples) == committed
+
+
+def test_fresh_run_writes_the_committed_journal(fresh_run):
+    _gen, store, _samples = fresh_run
+    committed = (FIXTURE / "journal.json").read_text()
+    assert store.to_json() + "\n" == committed
