@@ -18,8 +18,9 @@ from repro.core.database import ContentEntry
 from repro.core.sessions import GroupRecord
 from repro.edge import EdgeConfig
 from repro.failover import FailoverConfig
-from repro.live import LiveChannelRecord, LiveConfig
-from repro.multicast import MulticastConfig
+from repro.live import LIVE_CHANNEL_BASE, LiveChannelRecord, LiveConfig
+from repro.multicast import ChannelRecord, MulticastConfig
+from repro.net import messages as m
 from repro.recovery import (
     JournalStore,
     apply_record,
@@ -27,6 +28,7 @@ from repro.recovery import (
     restore_state,
     snapshot_state,
 )
+from repro.recovery.reconcile import books_state
 from repro.recovery.parts import Part, from_image, image
 from repro.sim import Simulator
 from repro.tools import cli
@@ -94,13 +96,70 @@ def test_every_v1_kind_has_exactly_one_owner():
     assert sorted(owned) == sorted(V1_KINDS)
 
 
-def test_live_merge_replay_refunds_the_rewind_slot():
+def _viewer_of(live: bool) -> Coordinator:
+    """msu0, one channel of the kind and viewer group 5 on it, whose
+    stream 6 holds a charged patch slot at half the channel's rate."""
     coord = _all_on()
-    group = GroupRecord(5, 0, "msu0", allocations={6: Allocation("msu0", "d", 1.0)})
-    apply_record(coord, "group-open", {"group": image(group)})
-    apply_record(coord, "live-merge", {"channel_id": 900, "group_id": 5, "stream_id": 6})
-    assert coord.groups[5].allocations == {}
-    assert coord.live_manager.merges == 1
+    slot = Allocation("msu0", "msu0.sd0", 0.5, content_name="m")
+    viewer = {"channel_id": LIVE_CHANNEL_BASE + 1 if live else 1,
+              "group_id": 5, "stream_id": 6}
+    records = [
+        ("msu-register", {"name": "msu0", "disks": [["msu0.sd0", 1000]]}),
+        ("content-add", {"entry": image(ContentEntry("m", "mpeg1", "msu0", "msu0.sd0"))}),
+        ("charge", {"alloc": image(slot)}),
+        ("group-open", {"group": image(GroupRecord(5, 0, "msu0", allocations={6: slot}))}),
+    ]
+    if live:
+        channel = LiveChannelRecord(
+            viewer["channel_id"], "m", "mpeg1", "msu0", "msu0.sd0", 1, 1,
+            2, 2, 1.0, 0.0, 0, False, "mcast", "feed0",
+        )
+        records += [("live-open", {"channel": image(channel)}), ("live-tune", viewer)]
+    else:
+        channel = ChannelRecord(
+            1, "m", "msu0", "msu0.sd0", 1, 1, 1.0, 0.0, 0, 0,
+            Allocation("msu0", "msu0.sd0", 1.0, content_name="m"), "mcast",
+        )
+        records += [
+            ("mcast-open", {"channel": image(channel)}),
+            ("mcast-subscribe", viewer),
+            ("mcast-patch", {**viewer, "rate": 0.5}),
+        ]
+    for kind, payload in records:
+        apply_record(coord, kind, payload)
+    return coord
+
+
+#: kind -> (live channel?, the live path, the counter it moves).
+SHARED_RECORDS = {
+    "mcast-merge": (False, lambda c: c.channel_manager.patch_drained(
+        m.PatchDrained(1, 5, 6)), "merges"),
+    "live-merge": (True, lambda c: c.live_manager.patch_drained(
+        m.PatchDrained(LIVE_CHANNEL_BASE + 1, 5, 6)), "merges"),
+    "mcast-downgrade": (False, lambda c: c.channel_manager.downgrade(
+        m.ChannelDowngrade(1, 5, 6)), "downgrades"),
+    "live-rewind": (True, lambda c: c.live_manager.rewound(
+        m.LiveRewound(LIVE_CHANNEL_BASE + 1, 5, 6, 0, 4)), "rewinds"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SHARED_RECORDS))
+def test_replay_repeats_the_live_path(kind):
+    live, run, counter = SHARED_RECORDS[kind]
+    leader, shadow = _viewer_of(live), _viewer_of(live)
+    leader.journal = JournalStore(snapshot_every=0)
+    run(leader)
+    assert kind in [record.kind for record in leader.journal.records]
+    for record in leader.journal.records:
+        apply_record(shadow, record.kind, record.payload)
+    name = "live_manager" if live else "channel_manager"
+    replayed, ran = getattr(shadow, name), getattr(leader, name)
+    assert getattr(replayed, counter) == getattr(ran, counter) == 1
+    assert shadow.groups[5].allocations == leader.groups[5].allocations
+    assert books_state(shadow) == books_state(leader)
+    assert [r.subscribers for r in replayed.channels.values()] == [
+        r.subscribers for r in ran.channels.values()
+    ]
 
 
 class TestRestoreReplaces:
