@@ -514,9 +514,14 @@ class LiveManager(ChannelBook):
         )
 
     def _replayed_private(self, p: dict) -> None:
+        hit = p.get("hit", True)
         self.rewinds += 1
-        if p.get("hit", True):
-            self.rewind_hits += 1
+        self.rewind_hits += hit
+        # rewound() counts the rewind on its record as well.
+        record = self.channels.get(p["channel_id"])
+        if record is not None:
+            record.rewinds += 1
+            record.rewind_hits += hit
 
     def _replay_ingest_done(self, p: dict) -> None:
         record = self.channels.get(p["channel_id"])

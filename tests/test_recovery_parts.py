@@ -160,6 +160,10 @@ def test_replay_repeats_the_live_path(kind):
     assert [r.subscribers for r in replayed.channels.values()] == [
         r.subscribers for r in ran.channels.values()
     ]
+    # Each record's own counters too, not only the manager's totals.
+    assert [image(r) for r in replayed.channels.values()] == [
+        image(r) for r in ran.channels.values()
+    ]
 
 
 class TestRestoreReplaces:
