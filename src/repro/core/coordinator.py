@@ -499,7 +499,7 @@ class Coordinator:
             self._recovery_backlog.append(msg)
             return
         if isinstance(msg, m.StreamTerminated):
-            yield from self.machine.cpu.execute(self.TERMINATION_CPU)
+            yield self.machine.cpu.execute(self.TERMINATION_CPU)
             self._trace("terminated", f"group={msg.group_id}",
                         f"stream={msg.stream_id} reason={msg.reason}")
         handler = self.handlers.get(type(msg))
@@ -648,7 +648,7 @@ class Coordinator:
             msg = yield channel.recv(self.name)
             if msg is None:
                 return
-            yield from self.machine.cpu.execute(self.REQUEST_CPU)
+            yield self.machine.cpu.execute(self.REQUEST_CPU)
             self.requests_handled += 1
             reply = None
             try:
@@ -941,7 +941,7 @@ class Coordinator:
         """
         msu_channel = self._msu_channels[group.msu_name]
         for message in messages:
-            yield from self.machine.cpu.execute(self.SCHEDULE_CPU)
+            yield self.machine.cpu.execute(self.SCHEDULE_CPU)
             msu_channel.send(self.name, message, nbytes=m.WIRE_BYTES)
         if self._msu_channels.get(group.msu_name) is msu_channel:
             return True

@@ -60,7 +60,7 @@ def _writer(sim: Simulator, machine: Machine, tokens: Store) -> Generator:
         req = yield from cpu.claim()
         start = sim.now
         try:
-            yield from machine.memory.write(CBR_PACKET_SIZE)
+            yield machine.memory.write(CBR_PACKET_SIZE)
         finally:
             cpu.release(req, busy=sim.now - start)
         tokens.put(CBR_PACKET_SIZE)

@@ -164,7 +164,7 @@ class DiskDrive:
 
             # Chain command overhead (selection, messaging).
             chain = self.hba.bus
-            yield from chain.hold(self.hba.params.command_overhead)
+            yield chain.hold(self.hba.params.command_overhead)
 
             # Media-paced transfer, bursting chain+memory chunk by chunk.
             memory = self.machine.memory if self.machine is not None else None
@@ -180,8 +180,7 @@ class DiskDrive:
                 try:
                     t0 = self.sim.now
                     if memory is not None:
-                        mover = memory.dma_read(step) if write else memory.dma_write(step)
-                        yield from mover
+                        yield memory.dma_read(step) if write else memory.dma_write(step)
                     spent = self.sim.now - t0
                     if spent < bus_t:
                         yield self.sim.timeout(bus_t - spent)
@@ -191,7 +190,7 @@ class DiskDrive:
 
             # Completion interrupt on the CPU.
             if self.machine is not None:
-                yield from self.machine.cpu.execute(
+                yield self.machine.cpu.execute(
                     self.machine.cpu.params.disk_interrupt_cost
                 )
         finally:

@@ -9,16 +9,51 @@ concurrent transfers interleave and bandwidth is shared.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Optional
 
 from repro.hardware.params import MemoryParams
-from repro.sim import Resource, Simulator
+from repro.sim import Hold, Resource, Simulator
 
 __all__ = ["MemoryBus"]
 
 
+class _Transfer(Hold):
+    """One transfer: the bus held chunk by chunk, as one event.
+
+    Each chunk's end releases the bus and claims it again behind any
+    waiter that release woke, so concurrent transfers interleave FIFO.
+    """
+
+    __slots__ = ("bus", "rate", "step", "remaining")
+
+    def __init__(self, bus: "MemoryBus", nbytes: int, rate: float):
+        if nbytes <= 0:
+            raise ValueError(f"non-positive transfer size: {nbytes}")
+        step = min(bus.params.chunk_bytes, nbytes)
+        self.bus = bus
+        self.rate = rate
+        self.step = step
+        self.remaining = nbytes - step
+        super().__init__(bus._bus, step / rate)
+
+    def _held(self) -> Optional[float]:
+        bus = self.bus
+        bus.busy_time += self.duration
+        bus.bytes_moved += self.step
+        remaining = self.remaining
+        if remaining <= 0:
+            return None
+        step = min(bus.params.chunk_bytes, remaining)
+        self.step = step
+        self.remaining = remaining - step
+        return step / self.rate
+
+
 class MemoryBus:
-    """A shared, chunk-interleaved memory bus."""
+    """A shared, chunk-interleaved memory bus.
+
+    Every transfer returns one event: ``yield memory.copy(nbytes)``.
+    """
 
     def __init__(self, sim: Simulator, params: MemoryParams = MemoryParams()):
         self.sim = sim
@@ -27,39 +62,24 @@ class MemoryBus:
         self.bytes_moved = 0
         self.busy_time = 0.0
 
-    def _transfer(self, nbytes: int, rate: float) -> Generator:
-        """Move ``nbytes`` at ``rate``, holding the bus one chunk at a time."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
-        bus = self._bus
-        chunk = self.params.chunk_bytes
-        remaining = nbytes
-        while remaining > 0:
-            step = min(chunk, remaining)
-            hold = step / rate
-            yield from bus.hold(hold)
-            self.busy_time += hold
-            self.bytes_moved += step
-            remaining -= step
-
     # The five op kinds the paper's data-path arithmetic distinguishes.
 
-    def read(self, nbytes: int) -> Generator:
+    def read(self, nbytes: int) -> Hold:
         """CPU read pass (e.g. the UDP checksum)."""
-        return self._transfer(nbytes, self.params.read_rate)
+        return _Transfer(self, nbytes, self.params.read_rate)
 
-    def write(self, nbytes: int) -> Generator:
+    def write(self, nbytes: int) -> Hold:
         """CPU write pass (e.g. the disk-less baseline's buffer filler)."""
-        return self._transfer(nbytes, self.params.write_rate)
+        return _Transfer(self, nbytes, self.params.write_rate)
 
-    def copy(self, nbytes: int) -> Generator:
+    def copy(self, nbytes: int) -> Hold:
         """CPU copy pass (user space to kernel mbuf)."""
-        return self._transfer(nbytes, self.params.copy_rate)
+        return _Transfer(self, nbytes, self.params.copy_rate)
 
-    def dma_write(self, nbytes: int) -> Generator:
+    def dma_write(self, nbytes: int) -> Hold:
         """Bus-master write into memory (disk or NIC receive DMA)."""
-        return self._transfer(nbytes, self.params.dma_write_rate)
+        return _Transfer(self, nbytes, self.params.dma_write_rate)
 
-    def dma_read(self, nbytes: int) -> Generator:
+    def dma_read(self, nbytes: int) -> Hold:
         """Bus-master read out of memory (NIC transmit DMA)."""
-        return self._transfer(nbytes, self.params.dma_read_rate)
+        return _Transfer(self, nbytes, self.params.dma_read_rate)

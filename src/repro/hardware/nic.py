@@ -120,15 +120,15 @@ class NetworkInterface:
             outstanding = self.machine.outstanding_commands()
             stall += cpu.params.packet_disk_penalty * outstanding
             yield self.sim.timeout(cpu.params.udp_send_overhead + stall)
-            yield from memory.copy(nbytes)  # user space -> kernel mbuf
-            yield from memory.read(nbytes)  # UDP checksum
+            yield memory.copy(nbytes)  # user space -> kernel mbuf
+            yield memory.read(nbytes)  # UDP checksum
         finally:
             cpu.release(req, busy=self.sim.now - start)
         # Interface output queue: full queue -> ENOBUFS, back off, retry.
         while self._backlog() >= self.params.txq_depth:
             self.enobufs_count += 1
             yield self.sim.timeout(self.params.enobufs_backoff)
-        yield from memory.dma_read(nbytes)  # device bus-master read
+        yield memory.dma_read(nbytes)  # device bus-master read
         self._settle()
         begin = max(self.sim.now, self._line_free)
         wire_bytes = nbytes + self.params.header_bytes
@@ -142,14 +142,14 @@ class NetworkInterface:
             raise ValueError(f"non-positive packet size {nbytes}")
         cpu = self.machine.cpu
         memory = self.machine.memory
-        yield from memory.dma_write(nbytes)  # device -> mbuf
+        yield memory.dma_write(nbytes)  # device -> mbuf
         req = yield from cpu.claim()
         start = self.sim.now
         try:
             stall = cpu.io_stall_time()
             yield self.sim.timeout(cpu.params.udp_recv_overhead + stall)
-            yield from memory.read(nbytes)  # checksum verify
-            yield from memory.copy(nbytes)  # mbuf -> user space
+            yield memory.read(nbytes)  # checksum verify
+            yield memory.copy(nbytes)  # mbuf -> user space
         finally:
             cpu.release(req, busy=self.sim.now - start)
         self.packets_received += 1

@@ -125,7 +125,7 @@ class ChannelBook(Part):
     ) -> Generator:
         """Spend the schedule's CPU, then subscribe the viewer MSU-side."""
         coord = self.coord
-        yield from coord.machine.cpu.execute(coord.SCHEDULE_CPU)
+        yield coord.machine.cpu.execute(coord.SCHEDULE_CPU)
         msu_channel = coord._msu_channels.get(record.msu_name)
         if msu_channel is not None:
             msu_channel.send(

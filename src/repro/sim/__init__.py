@@ -9,7 +9,9 @@ provides a small, SimPy-like coroutine scheduler:
 * :class:`~repro.sim.engine.Event` / :class:`~repro.sim.engine.Timeout` —
   waitable primitives a process may ``yield``.
 * :class:`~repro.sim.resources.Resource` / :class:`~repro.sim.resources.Store`
-  — contention primitives used to model buses, CPUs, disk arms and queues.
+  — contention primitives used to model buses, CPUs, disk arms and queues;
+  :class:`~repro.sim.resources.Hold` is a resource held for a time, as one
+  waitable event.
 
 The kernel is fully deterministic: simultaneous events fire in the order in
 which they were scheduled (ties break on a monotone sequence number), and no
@@ -26,13 +28,14 @@ from repro.sim.engine import (
     Simulator,
     Timeout,
 )
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Hold, Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
     "HeapScheduler",
+    "Hold",
     "Interrupt",
     "Process",
     "Resource",

@@ -7,7 +7,7 @@ import pytest
 from repro.hardware import Machine, MachineParams, MemoryBus
 from repro.hardware.params import ETHERNET_10, FDDI, MemoryParams, TimerParams
 from repro.hardware.timer import SystemTimer
-from repro.sim import Simulator
+from repro.sim import Event, Interrupt, Simulator
 from repro.units import CBR_PACKET_SIZE, to_mbyte_per_s
 from tests.conftest import run_process
 
@@ -73,7 +73,7 @@ class TestCpuStall:
 
     def test_cpu_execute_accounts_busy_time(self, sim):
         machine = Machine(sim, MachineParams(disks_per_hba=()))
-        run_process(sim, machine.cpu.execute(0.25))
+        sim.run_until_event(machine.cpu.execute(0.25))
         assert machine.cpu.busy_time == pytest.approx(0.25)
         assert machine.cpu.utilization(1.0) == pytest.approx(0.25)
 
@@ -81,7 +81,7 @@ class TestCpuStall:
         machine = Machine(sim, MachineParams(disks_per_hba=()))
 
         def worker():
-            yield from machine.cpu.execute(1.0)
+            yield machine.cpu.execute(1.0)
             return sim.now
 
         p1 = sim.process(worker())
@@ -98,7 +98,7 @@ class TestCpuStall:
         cpu, memory = machine.params.cpu, machine.params.memory
         overhead = cpu.udp_send_overhead if path == "udp_send" else cpu.udp_recv_overhead
         own = overhead + CBR_PACKET_SIZE / memory.copy_rate + CBR_PACKET_SIZE / memory.read_rate
-        sim.process(machine.cpu.execute(1.0))
+        machine.cpu.execute(1.0)
         sim.process(getattr(nic, path)(CBR_PACKET_SIZE))
         sim.run(until=2.0)
         assert machine.cpu.busy_time == pytest.approx(1.0 + own, abs=1e-12)
@@ -113,7 +113,11 @@ def _assert_interrupted_claim_frees(sim, resource, claim, first=None, at=1e-4):
     """
 
     def claimant(path):
-        yield from path()
+        claim = path()
+        if isinstance(claim, Event):
+            yield claim  # a hold: one event
+        else:
+            yield from claim  # a path that holds several things in turn
 
     sim.process(claimant(first or claim), name="holder")
     queued = sim.process(claimant(claim), name="queued")
@@ -161,7 +165,7 @@ class TestInterruptedClaims:
 class TestMemoryBus:
     def test_transfer_time_matches_rate(self, sim):
         bus = MemoryBus(sim)
-        run_process(sim, bus.copy(18_000_000))
+        sim.run_until_event(bus.copy(18_000_000))
         assert sim.now == pytest.approx(1.0)
 
     def test_rates_differ_by_kind(self, sim):
@@ -169,14 +173,14 @@ class TestMemoryBus:
         for kind, rate in [("read", 53e6), ("write", 25e6), ("copy", 18e6)]:
             s = Simulator()
             bus = MemoryBus(s, params)
-            run_process(s, getattr(bus, kind)(1_000_000))
+            s.run_until_event(getattr(bus, kind)(1_000_000))
             assert s.now == pytest.approx(1_000_000 / rate)
 
     def test_concurrent_transfers_share_bandwidth(self, sim):
         bus = MemoryBus(sim)
 
         def mover():
-            yield from bus.copy(9_000_000)
+            yield bus.copy(9_000_000)
             return sim.now
 
         p1 = sim.process(mover())
@@ -189,13 +193,67 @@ class TestMemoryBus:
     def test_negative_size_rejected(self, sim):
         bus = MemoryBus(sim)
         with pytest.raises(ValueError):
-            list(bus.read(-1))
+            bus.read(-1)
+
+    def test_non_positive_size_raises_before_claiming(self, sim):
+        bus = MemoryBus(sim)
+        for nbytes in (0, -1):
+            with pytest.raises(ValueError):
+                bus.copy(nbytes)
+        assert (bus._bus.in_use, bus._bus.queue_length) == (0, 0)
+        assert sim.peek() == float("inf")
 
     def test_accounting(self, sim):
         bus = MemoryBus(sim)
-        run_process(sim, bus.read(1024))
+        sim.run_until_event(bus.read(1024))
         assert bus.bytes_moved == 1024
         assert bus.busy_time > 0
+
+    def test_multi_chunk_transfer_is_one_event_per_chunk(self, sim):
+        """Three chunks: one end entry each, accounted as each ends."""
+        bus = MemoryBus(sim)
+        chunk = bus.params.chunk_bytes
+        step = chunk / bus.params.read_rate
+        seen = []
+        for k in (0.5, 1.5, 2.5):
+            sim.schedule(k * step, lambda: seen.append(bus.bytes_moved))
+        transfer = bus.read(3 * chunk)
+        sim.run()
+        assert transfer.triggered
+        assert sim.events_executed == 6  # three chunk ends, three probes
+        assert seen == [0, chunk, 2 * chunk]
+        assert bus.bytes_moved == 3 * chunk
+        assert bus.busy_time == pytest.approx(3 * step)
+        assert sim.now == pytest.approx(3 * step)
+
+    def test_interrupted_between_chunks(self, sim):
+        """A two-chunk transfer interrupted while it queues for its second
+        chunk behind another transfer: it leaves the queue, keeps the
+        first chunk's accounting and never resumes."""
+        bus = MemoryBus(sim)
+        chunk = bus.params.chunk_bytes
+        step = chunk / bus.params.copy_rate
+        log = []
+
+        def mover(tag, nbytes):
+            try:
+                yield bus.copy(nbytes)
+            except Interrupt:
+                log.append((tag, "interrupted", sim.now))
+                return
+            log.append((tag, sim.now))
+
+        a = sim.process(mover("a", 2 * chunk))
+        sim.process(mover("b", chunk))
+        sim.schedule(1.5 * step, a.interrupt)
+        sim.run(until=1.4 * step)
+        assert (bus._bus.in_use, bus._bus.queue_length) == (1, 1)
+        sim.run()
+        assert log == [("a", "interrupted", 1.5 * step),
+                       ("b", pytest.approx(2 * step))]
+        assert (bus._bus.in_use, bus._bus.queue_length) == (0, 0)
+        assert bus.bytes_moved == 2 * chunk
+        assert bus.busy_time == pytest.approx(2 * step)
 
 
 class TestNic:

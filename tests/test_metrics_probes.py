@@ -60,7 +60,7 @@ class TestUtilizationProbe:
 
         def worker():
             while True:
-                yield from machine.cpu.execute(0.3)
+                yield machine.cpu.execute(0.3)
                 yield sim.timeout(0.7)
 
         sim.process(worker())
