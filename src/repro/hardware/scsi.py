@@ -47,12 +47,16 @@ class HostBusAdapter:
         """Record a new command entering the chain."""
         self.outstanding += 1
         self.commands_issued += 1
+        if self.machine is not None:
+            self.machine._command_began(self)
 
     def command_end(self) -> None:
         """Record a command completing."""
         if self.outstanding <= 0:
             raise RuntimeError(f"{self.name}: command_end without begin")
         self.outstanding -= 1
+        if self.machine is not None:
+            self.machine._command_ended(self)
 
     def command_latency_penalty(self, sharing_disks_active: int) -> float:
         """Extra per-command latency from driver load and NIC interference.

@@ -84,9 +84,14 @@ class UdpSocket:
         return len(self._mailbox)
 
     def send(self, dst: Address, payload: bytes) -> Generator:
-        """Send a datagram (full host path if this host has a machine)."""
-        yield from self.host.network.send(
-            Datagram(self.address, dst, payload, self.host.sim.now)
+        """Send a datagram (full host path if this host has a machine).
+
+        ``yield from sock.send(...)``: the network's send path itself, so
+        the socket adds no generator frame to the sender's stack.
+        """
+        host = self.host
+        return host.network.send(
+            Datagram((host.name, self.port), dst, payload, host.sim.now)
         )
 
     def close(self) -> None:
