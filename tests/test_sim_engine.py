@@ -313,6 +313,16 @@ class TestSimulator:
         sim.timeout(4.0)
         assert sim.peek() == 4.0
 
+    @pytest.mark.parametrize("drive", ["run", "step"])
+    def test_entry_behind_the_clock_is_refused(self, sim, drive):
+        """Both dispatch paths refuse an entry due before ``now``."""
+        sim.run(until=1.0)
+        sim._seq += 1
+        sim._sched.push(0.5, sim._seq, lambda: None, ())
+        with pytest.raises(RuntimeError, match="backwards"):
+            getattr(sim, drive)()
+        assert (sim.now, sim.events_executed) == (1.0, 0)
+
     def test_run_until_event_detects_deadlock(self, sim):
         ev = sim.event()
         with pytest.raises(RuntimeError, match="deadlock"):
