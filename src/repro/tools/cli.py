@@ -340,6 +340,14 @@ def recovery_main(argv) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """argparse ``type`` of ``edge --edges/--titles``: a count must be >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def build_edge_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="calliope-experiments edge",
@@ -347,15 +355,15 @@ def build_edge_parser() -> argparse.ArgumentParser:
                     "pinned prefixes, hit ratios, uplink and bytes served.",
     )
     parser.add_argument(
-        "--edges", type=int, default=2,
+        "--edges", type=positive_int, default=2,
         help="number of EdgeProxy nodes (default 2)",
     )
     parser.add_argument(
-        "--titles", type=int, default=6,
+        "--titles", type=positive_int, default=6,
         help="catalog size for the Zipf workload (default 6)",
     )
     parser.add_argument(
-        "--duration", type=float, default=30.0,
+        "--duration", type=positive_seconds, default=30.0,
         help="simulated seconds of offered load (default 30)",
     )
     parser.add_argument(
@@ -385,7 +393,7 @@ def edge_main(argv) -> int:
             disks_per_hba=(1,),
             multicast=MulticastConfig(batch_window=0.5, patch_horizon=6.0),
             edge=EdgeConfig(
-                n_edges=max(1, args.edges),
+                n_edges=args.edges,
                 prefix_pages=128,
                 placement_period=0.5,
                 promote_score=0.5,
@@ -398,7 +406,7 @@ def edge_main(argv) -> int:
     packets = packetize_cbr(MpegEncoder(seed=args.seed).bitstream(48.0),
                             MPEG1_RATE, 1024)
     titles = []
-    for t in range(max(1, args.titles)):
+    for t in range(args.titles):
         name = f"title{t}"
         cluster.load_content(name, "mpeg1", packets, disk_index=0)
         titles.append(name)

@@ -98,6 +98,18 @@ class TestArgumentValidation:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["memorypath", "--duration", value])
 
+    @pytest.mark.parametrize("argv", [
+        ["--duration", "0"], ["--duration", "-5"],
+        ["--edges", "0"], ["--titles", "-2"],
+    ])
+    def test_edge_rejects_non_positive_arguments(self, argv):
+        # A zero window used to crash in sim.run; a zero or negative
+        # count used to be clamped to 1 without a word.
+        from repro.tools.cli import build_edge_parser
+
+        with pytest.raises(SystemExit):
+            build_edge_parser().parse_args(argv)
+
     def test_summary_rejects_non_positive_duration(self):
         from repro.tools.summary import main as summary_main
 
