@@ -24,20 +24,18 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.cache.manager import CacheConfig, CacheSnapshot
-from repro.clients.client import Client
-from repro.clients.population import ViewerPopulation
 from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.experiments import Experiment, headline
-from repro.media.mpeg import MpegEncoder, packetize_cbr
+from repro.experiments._support import (
+    load_titles, population_fields, run_population,
+)
 from repro.metrics.probes import CounterProbe
 from repro.metrics.report import format_cache_summary
 from repro.sim import Simulator
-from repro.storage.ibtree import IBTreeConfig
-from repro.units import MIB, MPEG1_RATE
+from repro.storage import SMALL_PAGES
+from repro.units import MIB
 
 __all__ = ["CachePoint", "run_cache", "format_cache"]
-
-_CONFIG = IBTreeConfig(data_page_size=16 * 1024, internal_page_size=1024, max_keys=32)
 
 
 @dataclass(frozen=True)
@@ -73,51 +71,26 @@ def _run_once(
         ClusterConfig(
             n_msus=1,
             disks_per_hba=(1,),  # disk-bound on purpose: one disk, ~12 streams
-            ibtree_config=_CONFIG,
+            ibtree_config=SMALL_PAGES,
             cache=cache_config,
         ),
     )
-    cluster.coordinator.db.add_customer("user")
-    length = mean_watch_seconds * 6.0
-    packets = packetize_cbr(
-        MpegEncoder(seed=seed).bitstream(length), MPEG1_RATE, 1024
-    )
-    titles = []
-    for t in range(n_titles):
-        name = f"title{t}"
-        cluster.load_content(name, "mpeg1", packets, disk_index=0)
-        titles.append(name)
-    sim.run(until=0.01)
+    titles = load_titles(cluster, n_titles, mean_watch_seconds * 6.0, seed)
     msu = cluster.msus[0]
     probe = None
     if msu.cache is not None:
         probe = CounterProbe(
             sim, lambda: msu.cache.slots_saved, period=5.0, name="cache-hits"
         )
-    client = Client(sim, cluster, "audience")
-    population = ViewerPopulation(
-        sim, client, titles,
-        arrival_rate=offered / mean_watch_seconds,
-        mean_watch_seconds=mean_watch_seconds,
-        queue_patience=2.0,
-        seed=seed,
+    stats = run_population(
+        cluster, titles, offered, mean_watch_seconds, duration, seed
     )
-    population.start()
-    sim.run(until=duration)
-    population.stop()
-    sim.run(until=duration + 30.0)  # drain in-flight viewers
     if probe is not None:
         probe.stop()
-    stats = population.stats
     disk_proc = next(iter(msu.disk_processes.values()))
     return CachePoint(
         cache_enabled=cache_config is not None,
-        offered_erlangs=offered,
-        arrivals=stats.arrivals,
-        admitted=stats.admitted,
-        blocked_or_abandoned=stats.blocked + stats.abandoned,
-        blocking_probability=stats.blocking_probability,
-        concurrent_peak=stats.concurrent_peak,
+        **population_fields(offered, stats),
         cache_admitted=cluster.coordinator.admission.cache_admitted,
         pages_read=disk_proc.pages_read,
         pages_from_cache=disk_proc.pages_from_cache,

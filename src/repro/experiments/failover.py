@@ -28,23 +28,20 @@ Two scenarios on the same loaded cluster:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Tuple
+from typing import Dict, List
 
 from repro.clients.client import Client, GroupView
 from repro.clients.playback import resume_gap
 from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.core.replication import ReplicationManager
 from repro.experiments import Experiment, headline
+from repro.experiments._support import load_titles, watch
 from repro.failover import FailoverConfig, HeartbeatConfig
-from repro.media.mpeg import MpegEncoder, packetize_cbr
 from repro.metrics.report import format_failover_summary
 from repro.sim import Simulator
-from repro.storage.ibtree import IBTreeConfig
-from repro.units import MPEG1_RATE
+from repro.storage import SMALL_PAGES
 
 __all__ = ["FailoverPoint", "run_failover", "format_failover"]
-
-_CONFIG = IBTreeConfig(data_page_size=16 * 1024, internal_page_size=1024, max_keys=32)
 
 #: Fast detection so the experiment stays short; the budget property
 #: scales with whatever is configured here.
@@ -87,15 +84,6 @@ class FailoverPoint:
     time_to_full_capacity_s: float
 
 
-def _viewer(
-    client: Client, title: str, port_name: str, views: Dict[str, GroupView]
-) -> Generator:
-    yield from client.register_port(port_name, "mpeg1")
-    view = yield from client.play(title, port_name)
-    views[port_name] = view
-    yield from client.wait_ready(view)
-
-
 def _run_scenario(
     replicated: bool,
     n_msus: int,
@@ -110,23 +98,18 @@ def _run_scenario(
         sim,
         ClusterConfig(
             n_msus=n_msus,
-            ibtree_config=_CONFIG,
+            ibtree_config=SMALL_PAGES,
             failover=FailoverConfig(heartbeat=_HEARTBEAT),
             seed=seed,
         ),
     )
     coord = cluster.coordinator
-    coord.db.add_customer("user")
     budget = _HEARTBEAT.detection_latency + _DUTY_CYCLE_ALLOWANCE
     observe = budget + 2.0  # watch past the budget before measuring
-    length = kill_at + observe + recover_after + 20.0
-    packets = packetize_cbr(MpegEncoder(seed=seed).bitstream(length), MPEG1_RATE, 1024)
-    titles = []
-    for t in range(n_titles):
-        name = f"title{t}"
-        cluster.load_content(name, "mpeg1", packets, msu_index=0, disk_index=t % 2)
-        titles.append(name)
-    sim.run(until=0.05)  # let the MsuHello round-trip register every MSU
+    titles = load_titles(
+        cluster, n_titles, kill_at + observe + recover_after + 20.0, seed,
+        place=lambda t: (0, t % 2), settle=0.05,
+    )
     if replicated:
         manager = ReplicationManager(cluster)
         for t, name in enumerate(titles):
@@ -143,7 +126,7 @@ def _run_scenario(
     sim.run(until=0.2)
     for v in range(n_viewers):
         sim.process(
-            _viewer(client, titles[v % n_titles], f"v{v}", views), name=f"e17.v{v}"
+            watch(client, titles[v % n_titles], f"v{v}", views), name=f"e17.v{v}"
         )
     sim.run(until=kill_at)
 

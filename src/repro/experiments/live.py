@@ -30,14 +30,12 @@ from repro.experiments import Experiment, headline
 from repro.live import ChannelSpec, LiveConfig, LiveSource
 from repro.media.mpeg import MpegEncoder, packetize_cbr
 from repro.sim import Simulator
-from repro.storage.ibtree import IBTreeConfig
+from repro.storage import SMALL_PAGES
 from repro.units import MPEG1_RATE
 from repro.verify import ChaosCluster, ChaosConfig, ChaosSchedule, ChaosReport
 from repro.verify.invariants import builtin_registry
 
 __all__ = ["LivePoint", "run_live", "run_live_chaos", "format_live"]
-
-_CONFIG = IBTreeConfig(data_page_size=16 * 1024, internal_page_size=1024, max_keys=32)
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,7 @@ def run_live(
     )
     cluster = CalliopeCluster(
         sim,
-        ClusterConfig(n_msus=n_msus, ibtree_config=_CONFIG, live=live),
+        ClusterConfig(n_msus=n_msus, ibtree_config=SMALL_PAGES, live=live),
     )
     cluster.coordinator.db.add_customer("user")
     for c in range(n_channels):

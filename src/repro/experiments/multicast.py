@@ -22,20 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.clients.client import Client
-from repro.clients.population import ViewerPopulation
 from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.experiments import Experiment, headline
-from repro.media.mpeg import MpegEncoder, packetize_cbr
+from repro.experiments._support import (
+    load_titles, population_fields, run_population,
+)
 from repro.metrics.report import format_multicast_summary
 from repro.multicast import MulticastConfig
 from repro.sim import Simulator
-from repro.storage.ibtree import IBTreeConfig
-from repro.units import MPEG1_RATE
+from repro.storage import SMALL_PAGES
 
 __all__ = ["MulticastPoint", "run_multicast", "format_multicast"]
-
-_CONFIG = IBTreeConfig(data_page_size=16 * 1024, internal_page_size=1024, max_keys=32)
 
 
 @dataclass(frozen=True)
@@ -72,49 +69,23 @@ def _run_once(
     n_titles: int,
     seed: int,
 ) -> MulticastPoint:
-    sim = Simulator()
     cluster = CalliopeCluster(
-        sim,
+        Simulator(),
         ClusterConfig(
             n_msus=1,
             disks_per_hba=(1,),  # disk-bound on purpose: one disk, ~12 streams
-            ibtree_config=_CONFIG,
+            ibtree_config=SMALL_PAGES,
             multicast=multicast,
         ),
     )
-    cluster.coordinator.db.add_customer("user")
-    length = mean_watch_seconds * 6.0
-    packets = packetize_cbr(
-        MpegEncoder(seed=seed).bitstream(length), MPEG1_RATE, 1024
+    titles = load_titles(cluster, n_titles, mean_watch_seconds * 6.0, seed)
+    stats = run_population(
+        cluster, titles, offered, mean_watch_seconds, duration, seed
     )
-    titles = []
-    for t in range(n_titles):
-        name = f"title{t}"
-        cluster.load_content(name, "mpeg1", packets, disk_index=0)
-        titles.append(name)
-    sim.run(until=0.01)
-    client = Client(sim, cluster, "audience")
-    population = ViewerPopulation(
-        sim, client, titles,
-        arrival_rate=offered / mean_watch_seconds,
-        mean_watch_seconds=mean_watch_seconds,
-        queue_patience=2.0,
-        seed=seed,
-    )
-    population.start()
-    sim.run(until=duration)
-    population.stop()
-    sim.run(until=duration + 30.0)  # drain in-flight viewers
-    stats = population.stats
     manager = cluster.coordinator.channel_manager
     return MulticastPoint(
         multicast_enabled=multicast is not None,
-        offered_erlangs=offered,
-        arrivals=stats.arrivals,
-        admitted=stats.admitted,
-        blocked_or_abandoned=stats.blocked + stats.abandoned,
-        blocking_probability=stats.blocking_probability,
-        concurrent_peak=stats.concurrent_peak,
+        **population_fields(offered, stats),
         channels_created=manager.channels_created if manager else 0,
         viewers_joined=manager.viewers_joined if manager else 0,
         channel_occupancy=manager.occupancy() if manager else 0.0,

@@ -26,21 +26,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.clients.client import Client, GroupView
 from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.experiments import Experiment, headline
-from repro.media.mpeg import MpegEncoder, packetize_cbr
+from repro.experiments._support import load_titles, watch
 from repro.metrics.report import format_recovery_summary
 from repro.recovery import RecoveryConfig, books_state, expected_books
 from repro.sim import Simulator
-from repro.storage.ibtree import IBTreeConfig
-from repro.units import MPEG1_RATE
+from repro.storage import SMALL_PAGES
 
 __all__ = ["RecoveryPoint", "run_recovery", "format_recovery"]
-
-_CONFIG = IBTreeConfig(data_page_size=16 * 1024, internal_page_size=1024, max_keys=32)
 
 #: How long the MSUs serve alone between the kill and the cold start.
 _OUTAGE = 2.0
@@ -73,15 +70,6 @@ class RecoveryPoint:
     outcome: object = None
 
 
-def _viewer(
-    client: Client, title: str, port_name: str, views: Dict[str, GroupView]
-) -> Generator:
-    yield from client.register_port(port_name, "mpeg1")
-    view = yield from client.play(title, port_name)
-    views[port_name] = view
-    yield from client.wait_ready(view)
-
-
 def _run_point(
     n_viewers: int,
     n_msus: int,
@@ -94,23 +82,16 @@ def _run_point(
         sim,
         ClusterConfig(
             n_msus=n_msus,
-            ibtree_config=_CONFIG,
+            ibtree_config=SMALL_PAGES,
             recovery=RecoveryConfig(snapshot_every=256, report_grace=_GRACE),
             seed=seed,
         ),
     )
     coord = cluster.coordinator
-    coord.db.add_customer("user")
-    length = kill_at + _OUTAGE + 25.0
-    packets = packetize_cbr(MpegEncoder(seed=seed).bitstream(length), MPEG1_RATE, 1024)
-    titles = []
-    for t in range(n_titles):
-        name = f"title{t}"
-        cluster.load_content(
-            name, "mpeg1", packets, msu_index=t % n_msus, disk_index=t % 2
-        )
-        titles.append(name)
-    sim.run(until=0.05)  # let the MsuHello round-trip register every MSU
+    titles = load_titles(
+        cluster, n_titles, kill_at + _OUTAGE + 25.0, seed,
+        place=lambda t: (t % n_msus, t % 2), settle=0.05,
+    )
 
     client = Client(sim, cluster, "audience")
     views: Dict[str, GroupView] = {}
@@ -118,7 +99,7 @@ def _run_point(
     sim.run(until=0.2)
     for v in range(n_viewers):
         sim.process(
-            _viewer(client, titles[v % n_titles], f"v{v}", views), name=f"e20.v{v}"
+            watch(client, titles[v % n_titles], f"v{v}", views), name=f"e20.v{v}"
         )
     sim.run(until=kill_at)
 

@@ -25,12 +25,10 @@ from repro.core.replication import ReplicationManager
 from repro.experiments import Experiment, headline
 from repro.media.mpeg import MpegEncoder, packetize_cbr
 from repro.sim import Simulator
-from repro.storage.ibtree import IBTreeConfig
+from repro.storage import SMALL_PAGES
 from repro.units import MPEG1_RATE
 
 __all__ = ["ReplicationResult", "run_replication", "format_replication"]
-
-_CONFIG = IBTreeConfig(data_page_size=16 * 1024, internal_page_size=1024, max_keys=32)
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,7 @@ class ReplicationResult:
 def _run(replicate: bool, offered: int, hot_fraction: float, seed: int
          ) -> ReplicationResult:
     sim = Simulator()
-    cluster = CalliopeCluster(sim, ClusterConfig(n_msus=1, ibtree_config=_CONFIG))
+    cluster = CalliopeCluster(sim, ClusterConfig(n_msus=1, ibtree_config=SMALL_PAGES))
     cluster.coordinator.db.add_customer("user")
     packets = packetize_cbr(MpegEncoder(seed=seed).bitstream(4.0), MPEG1_RATE, 1024)
     cluster.load_content("hot", "mpeg1", packets, disk_index=0)

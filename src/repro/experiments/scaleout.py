@@ -34,12 +34,11 @@ from typing import Dict, Generator, List, Sequence, Tuple
 from repro.clients.client import Client, GroupView
 from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.experiments import Experiment, headline
-from repro.media.mpeg import MpegEncoder, packetize_cbr
+from repro.experiments._support import load_titles, watch
 from repro.recovery import RecoveryConfig
 from repro.scaleout import ScaleOutConfig
 from repro.sim import Simulator
-from repro.storage.ibtree import IBTreeConfig
-from repro.units import MPEG1_RATE
+from repro.storage import SMALL_PAGES
 
 __all__ = [
     "TakeoverPoint",
@@ -48,8 +47,6 @@ __all__ = [
     "run_sharding",
     "format_scaleout",
 ]
-
-_CONFIG = IBTreeConfig(data_page_size=16 * 1024, internal_page_size=1024, max_keys=32)
 
 #: Reconciliation grace (the cold-restart budget a takeover must beat).
 _GRACE = 1.0
@@ -99,28 +96,8 @@ def _viewer(
     client: Client, title: str, port_name: str, views: Dict[str, GroupView],
     ready_at: Dict[str, float], sim: Simulator,
 ) -> Generator:
-    yield from client.register_port(port_name, "mpeg1")
-    view = yield from client.play(title, port_name)
-    views[port_name] = view
-    yield from client.wait_ready(view)
+    yield from watch(client, title, port_name, views)
     ready_at[port_name] = sim.now
-
-
-def _load_titles(
-    cluster: CalliopeCluster, n_titles: int, n_msus: int, length: float,
-    seed: int,
-) -> List[str]:
-    packets = packetize_cbr(
-        MpegEncoder(seed=seed).bitstream(length), MPEG1_RATE, 1024
-    )
-    titles = []
-    for t in range(n_titles):
-        name = f"title{t}"
-        cluster.load_content(
-            name, "mpeg1", packets, msu_index=t % n_msus, disk_index=t % 2
-        )
-        titles.append(name)
-    return titles
 
 
 # -- part A: warm takeover ----------------------------------------------------
@@ -133,18 +110,17 @@ def _run_takeover_point(
         sim,
         ClusterConfig(
             n_msus=n_msus,
-            ibtree_config=_CONFIG,
+            ibtree_config=SMALL_PAGES,
             recovery=RecoveryConfig(snapshot_every=256, report_grace=_GRACE),
             scaleout=ScaleOutConfig(standby=True),
             seed=seed,
         ),
     )
     coord = cluster.coordinator
-    coord.db.add_customer("user")
-    titles = _load_titles(
-        cluster, n_titles, n_msus, kill_at + 25.0, seed
+    titles = load_titles(
+        cluster, n_titles, kill_at + 25.0, seed,
+        place=lambda t: (t % n_msus, t % 2), settle=0.05,
     )
-    sim.run(until=0.05)
 
     client = Client(sim, cluster, "audience")
     views: Dict[str, GroupView] = {}
@@ -207,7 +183,7 @@ def _run_shard_point(
         sim,
         ClusterConfig(
             n_msus=n_msus,
-            ibtree_config=_CONFIG,
+            ibtree_config=SMALL_PAGES,
             recovery=RecoveryConfig(snapshot_every=1024, report_grace=_GRACE),
             scaleout=ScaleOutConfig(
                 shards=n_shards, admit_service_time=_SERVICE
@@ -216,9 +192,10 @@ def _run_shard_point(
         ),
     )
     coord = cluster.coordinator
-    coord.db.add_customer("user")
-    titles = _load_titles(cluster, n_titles, n_msus, 30.0, seed)
-    sim.run(until=0.05)
+    titles = load_titles(
+        cluster, n_titles, 30.0, seed,
+        place=lambda t: (t % n_msus, t % 2), settle=0.05,
+    )
 
     # One client per viewer: each gets its own session channel, so the
     # admissions arrive concurrently and only the shard servers gate

@@ -22,18 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.clients.client import Client
-from repro.clients.population import ViewerPopulation
 from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.experiments import Experiment, headline
-from repro.media.mpeg import MpegEncoder, packetize_cbr
+from repro.experiments._support import (
+    load_titles, population_fields, run_population,
+)
 from repro.sim import Simulator
-from repro.storage.ibtree import IBTreeConfig
+from repro.storage import SMALL_PAGES
 from repro.units import MPEG1_RATE
 
 __all__ = ["VodLoadPoint", "erlang_b", "run_vod_load", "format_vod_load"]
-
-_CONFIG = IBTreeConfig(data_page_size=16 * 1024, internal_page_size=1024, max_keys=32)
 
 
 @dataclass(frozen=True)
@@ -77,43 +75,22 @@ def run_vod_load(
     """Sweep offered load; returns one point per level."""
     points = []
     for offered in offered_erlangs:
-        sim = Simulator()
-        cluster = CalliopeCluster(sim, ClusterConfig(n_msus=1, ibtree_config=_CONFIG))
-        cluster.coordinator.db.add_customer("user")
+        cluster = CalliopeCluster(
+            Simulator(), ClusterConfig(n_msus=1, ibtree_config=SMALL_PAGES)
+        )
         # Titles must outlast the watch times or streams end (and free
         # their resources) before the viewer leaves.
-        length = mean_watch_seconds * 6.0
-        packets = packetize_cbr(
-            MpegEncoder(seed=seed).bitstream(length), MPEG1_RATE, 1024
+        titles = load_titles(
+            cluster, n_titles, mean_watch_seconds * 6.0, seed,
+            place=lambda t: (0, t % 2),
         )
-        titles = []
-        for t in range(n_titles):
-            name = f"title{t}"
-            cluster.load_content(name, "mpeg1", packets, disk_index=t % 2)
-            titles.append(name)
-        sim.run(until=0.01)
         capacity = _capacity_streams(cluster)
-        client = Client(sim, cluster, "audience")
-        population = ViewerPopulation(
-            sim, client, titles,
-            arrival_rate=offered / mean_watch_seconds,
-            mean_watch_seconds=mean_watch_seconds,
-            queue_patience=2.0,
-            seed=seed,
+        stats = run_population(
+            cluster, titles, offered, mean_watch_seconds, duration, seed
         )
-        population.start()
-        sim.run(until=duration)
-        population.stop()
-        sim.run(until=duration + 30.0)  # drain in-flight viewers
-        stats = population.stats
         points.append(
             VodLoadPoint(
-                offered_erlangs=offered,
-                arrivals=stats.arrivals,
-                admitted=stats.admitted,
-                blocked_or_abandoned=stats.blocked + stats.abandoned,
-                blocking_probability=stats.blocking_probability,
-                concurrent_peak=stats.concurrent_peak,
+                **population_fields(offered, stats),
                 erlang_b_reference=erlang_b(offered, capacity),
             )
         )

@@ -17,6 +17,7 @@ from repro.storage.ibtree import (
     IBTreeReader,
     IBTreeWriter,
     PacketRecord,
+    SMALL_PAGES,
 )
 from repro.storage.layout import SpanVolume, StripedVolume, Volume
 from repro.storage.raw_disk import RawDisk, SparseImage
@@ -30,6 +31,7 @@ __all__ = [
     "MsuFileSystem",
     "PacketRecord",
     "RawDisk",
+    "SMALL_PAGES",
     "SpanVolume",
     "SparseImage",
     "StripedVolume",

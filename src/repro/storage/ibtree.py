@@ -31,7 +31,7 @@ from repro.errors import StorageError
 from repro.storage.filesystem import FileHandle
 from repro.units import BLOCK_SIZE, INTERNAL_PAGE_KEYS, INTERNAL_PAGE_SIZE
 
-__all__ = ["IBTreeConfig", "PacketRecord", "IBTreeWriter", "IBTreeReader"]
+__all__ = ["IBTreeConfig", "PacketRecord", "IBTreeWriter", "IBTreeReader", "SMALL_PAGES"]
 
 _DATA_MAGIC = b"CDPG"
 _DATA_HDR = "<4sHIII"  # magic, n_entries, used, internal_off, internal_len
@@ -68,6 +68,11 @@ class IBTreeConfig:
             )
         if self.internal_page_size + _DATA_HDR_SIZE + _REC_HDR_SIZE >= self.data_page_size:
             raise ValueError("internal page too large to embed in a data page")
+
+
+#: 16 KiB data pages: short titles that are quick to write and stream,
+#: the geometry of the experiments and the chaos harness.
+SMALL_PAGES = IBTreeConfig(data_page_size=16 * 1024, internal_page_size=1024, max_keys=32)
 
 
 @dataclass(frozen=True)

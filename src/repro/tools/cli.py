@@ -12,7 +12,6 @@ Usage::
     python -m repro.tools.cli recovery journal.json --replay
     python -m repro.tools.cli recovery journal.json --follow
     python -m repro.tools.cli edge --edges 2 --duration 30
-    python -m repro.tools.cli live --channels 3 --surfers 55
 
 Each experiment subcommand is an entry of ``repro.experiments.REGISTRY``:
 it runs at the entry's defaults (``--duration``, if given, sets the window
@@ -54,14 +53,6 @@ def _parse_seeds(spec: str) -> list:
     if last < first:
         raise argparse.ArgumentTypeError(f"reversed seed range {spec!r}")
     return list(range(first, last + 1))
-
-
-def _seed_spec(spec: str) -> str:
-    """argparse ``type`` of ``live --chaos-seeds``: checked, kept as text
-    ('' skips the sweep)."""
-    if spec:
-        _parse_seeds(spec)
-    return spec
 
 
 def positive_seconds(text: str) -> float:
@@ -375,19 +366,15 @@ def build_edge_parser() -> argparse.ArgumentParser:
 
 def edge_main(argv) -> int:
     """Drive a small edged cluster and print the edge tier's state."""
-    from repro.clients.client import Client
-    from repro.clients.population import ViewerPopulation
     from repro.core.cluster import CalliopeCluster, ClusterConfig
     from repro.edge import EdgeConfig
-    from repro.media.mpeg import MpegEncoder, packetize_cbr
+    from repro.experiments._support import load_titles, run_population
     from repro.multicast import MulticastConfig
     from repro.sim import Simulator
-    from repro.units import MPEG1_RATE
 
     args = build_edge_parser().parse_args(argv)
-    sim = Simulator()
     cluster = CalliopeCluster(
-        sim,
+        Simulator(),
         ClusterConfig(
             n_msus=1,
             disks_per_hba=(1,),
@@ -402,25 +389,10 @@ def edge_main(argv) -> int:
             ),
         ),
     )
-    cluster.coordinator.db.add_customer("user")
-    packets = packetize_cbr(MpegEncoder(seed=args.seed).bitstream(48.0),
-                            MPEG1_RATE, 1024)
-    titles = []
-    for t in range(args.titles):
-        name = f"title{t}"
-        cluster.load_content(name, "mpeg1", packets, disk_index=0)
-        titles.append(name)
-    sim.run(until=0.01)
-    client = Client(sim, cluster, "audience")
-    population = ViewerPopulation(
-        sim, client, titles,
-        arrival_rate=6.0, mean_watch_seconds=8.0, zipf_s=1.0,
-        queue_patience=2.0, seed=args.seed,
+    titles = load_titles(cluster, args.titles, 48.0, args.seed)
+    run_population(
+        cluster, titles, 48.0, 8.0, args.duration, args.seed, zipf_s=1.0
     )
-    population.start()
-    sim.run(until=args.duration)
-    population.stop()
-    sim.run(until=args.duration + 30.0)
 
     placement = cluster.coordinator.placement
     print(f"edge tier after {args.duration:.0f}s of Zipf(1.0) load "
@@ -458,62 +430,6 @@ def edge_main(argv) -> int:
     return 0
 
 
-def build_live_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="calliope-experiments live",
-        description="Broadcast a live lineup under a channel-surfing "
-                    "population, then rerun the seeded chaos sweep with "
-                    "live faults enabled.",
-    )
-    parser.add_argument(
-        "--channels", type=int, default=3,
-        help="channels in the EPG lineup (default 3)",
-    )
-    parser.add_argument(
-        "--surfers", type=int, default=55,
-        help="channel-surfing viewers (default 55)",
-    )
-    parser.add_argument(
-        "--duration", type=float, default=24.0,
-        help="broadcast length in simulated seconds (default 24)",
-    )
-    parser.add_argument(
-        "--ring", type=float, default=5.0,
-        help="time-shift ring window in seconds (default 5)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=22,
-        help="workload seed (default 22)",
-    )
-    parser.add_argument(
-        "--chaos-seeds", type=_seed_spec, default="61..63",
-        help="chaos sweep seeds, e.g. '7' or '61..63'; '' skips the sweep "
-             "(default 61..63)",
-    )
-    return parser
-
-
-def live_main(argv) -> int:
-    """One live-TV surf run plus the chaos sweep; exit 1 on violations."""
-    from repro.experiments.live import format_live, run_live, run_live_chaos
-
-    args = build_live_parser().parse_args(argv)
-    point = run_live(
-        n_channels=max(1, args.channels),
-        n_surfers=max(1, args.surfers),
-        broadcast_seconds=args.duration,
-        ring_seconds=args.ring,
-        seed=args.seed,
-    )
-    reports = (
-        run_live_chaos(seeds=_parse_seeds(args.chaos_seeds))
-        if args.chaos_seeds else []
-    )
-    print(format_live(point, reports))
-    failed = point.drain_violations or any(not r.ok for r in reports)
-    return 1 if failed else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="calliope-experiments",
@@ -541,8 +457,6 @@ def main(argv=None) -> int:
         return recovery_main(argv[1:])
     if argv and argv[0] == "edge":
         return edge_main(argv[1:])
-    if argv and argv[0] == "live":
-        return live_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
         width = max(len(name) for name in REGISTRY)

@@ -16,7 +16,7 @@ property the shrinker relies on.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Dict, List, Optional
 
@@ -33,15 +33,12 @@ from repro.media import MpegEncoder, packetize_cbr
 from repro.multicast import MulticastConfig
 from repro.net import messages as m
 from repro.sim import Simulator
-from repro.storage import IBTreeConfig
+from repro.storage import SMALL_PAGES
 from repro.units import MPEG1_RATE
 from repro.verify.faults import ChaosSchedule, FaultOp
 from repro.verify.invariants import InvariantRegistry, Violation, builtin_registry
 
 __all__ = ["ChaosConfig", "ChaosCluster", "ChaosReport"]
-
-#: Small pages keep titles short to write and quick to stream.
-SMALL = IBTreeConfig(data_page_size=16 * 1024, internal_page_size=1024, max_keys=32)
 
 #: Fast failure detection so a 20-second horizon sees whole failover arcs.
 FAST = HeartbeatConfig(
@@ -161,7 +158,7 @@ class ChaosCluster:
             ClusterConfig(
                 n_msus=self.chaos_config.n_msus,
                 disks_per_hba=(1,),
-                ibtree_config=SMALL,
+                ibtree_config=SMALL_PAGES,
                 failover=FailoverConfig(heartbeat=FAST),
                 multicast=MulticastConfig(batch_window=0.2, patch_horizon=6.0),
                 cache=CacheConfig(),
