@@ -178,13 +178,8 @@ class CalliopeCluster:
         # so a module-level import would be circular.
         from repro.scaleout.standby import StandbyCoordinator
 
-        scaleout = self.config.scaleout
         standby = StandbyCoordinator(
-            self,
-            leader_heartbeat=(
-                scaleout.leader_heartbeat if scaleout is not None else None
-            ),
-            name=f"coordinator-standby{len(self.standbys)}",
+            self, name=f"coordinator-standby{len(self.standbys)}"
         )
         standby.shadow.tracer = self.coordinator.tracer
         standby.shadow.on_capacity_lost = self.coordinator.on_capacity_lost
@@ -201,12 +196,10 @@ class CalliopeCluster:
         turns the silence into a dead verdict after its configured
         detection latency — no oracle shortcut.
         """
-        scaleout = self.config.scaleout
-        period = (
-            scaleout.leader_heartbeat.period if scaleout is not None else 0.1
-        )
+        from repro.scaleout.standby import LEADER_HEARTBEAT
+
         while True:
-            yield self.sim.timeout(period)
+            yield self.sim.timeout(LEADER_HEARTBEAT.period)
             if self.coordinator_down or self.coordinator.dead:
                 continue
             for standby in self.standbys:

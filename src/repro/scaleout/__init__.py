@@ -25,9 +25,8 @@ carries it (None keeps the single-Coordinator shape of PRs 1-8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.failover.heartbeat import HeartbeatConfig
 from repro.scaleout.escrow import EscrowBook, ShardSet, shard_for
 from repro.scaleout.standby import StandbyCoordinator, TakeoverOutcome
 
@@ -41,15 +40,6 @@ __all__ = [
 ]
 
 
-def _leader_heartbeat_default() -> HeartbeatConfig:
-    # Tighter than the MSU detector: worst-case detection is
-    # 0.1*2 + 0.1 = 0.3s, safely inside the default report_grace of 1s
-    # so a takeover always lands within one grace window.
-    return HeartbeatConfig(
-        period=0.1, miss_threshold=2, suspect_backoff=0.1, suspect_probes=1
-    )
-
-
 @dataclass(frozen=True)
 class ScaleOutConfig:
     """Shape of the Coordinator tier."""
@@ -58,10 +48,6 @@ class ScaleOutConfig:
     shards: int = 1
     #: Keep a warm standby tailing the journal from cluster bring-up.
     standby: bool = False
-    #: Liveness detector the standby points at the leader.
-    leader_heartbeat: HeartbeatConfig = field(
-        default_factory=_leader_heartbeat_default
-    )
     #: Escrow refill quantum as a fraction of disk capacity (per split).
     refill_fraction: float = 0.25
     #: Simulated seconds one shard spends per admission decision

@@ -8,13 +8,13 @@ The warm standby removes both delays:
 * **Tailing.**  A shadow Coordinator is built passive
   (``standby=True``: no EPG slots, no edge-placement loop, escrow in
   replay mode) and a poll process applies the leader's journal into it
-  continuously — a fresh snapshot re-restores the shadow wholesale, new
-  WAL records apply incrementally.  At any instant the shadow is at
-  most one poll interval behind the leader's durable state.
+  every ``TAIL_POLL`` seconds — a fresh snapshot re-restores the shadow
+  wholesale, new WAL records apply incrementally.  At any instant the
+  shadow is at most one poll interval behind the leader's durable state.
 * **Detection.**  The leader beats the standby's
   :class:`~repro.failover.heartbeat.HeartbeatMonitor` (via
   :meth:`beat_for`, the generalized intake) every
-  ``leader_heartbeat.period`` seconds; the standard
+  ``LEADER_HEARTBEAT.period`` seconds; the standard
   alive/suspect/dead machine turns silence into a verdict in
   ``detection_latency`` seconds — tuned well inside ``report_grace``.
 * **Takeover.**  On the verdict the standby drains the journal tail one
@@ -30,7 +30,7 @@ The warm standby removes both delays:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, List, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.failover.heartbeat import HeartbeatConfig, HeartbeatMonitor
 from repro.recovery import apply_record, restore_state
@@ -39,10 +39,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.cluster import CalliopeCluster
     from repro.core.coordinator import Coordinator
 
-__all__ = ["StandbyCoordinator", "TakeoverOutcome", "LEADER"]
+__all__ = ["StandbyCoordinator", "TakeoverOutcome", "LEADER", "LEADER_HEARTBEAT"]
 
 #: Endpoint name the leader beacon beats under.
 LEADER = "leader"
+
+#: The leader's liveness detector, tighter than the MSUs': worst-case
+#: detection is 0.1*2 + 0.1 = 0.3s, safely inside the default
+#: report_grace of 1s, so a takeover always lands within one grace window.
+LEADER_HEARTBEAT = HeartbeatConfig(
+    period=0.1, miss_threshold=2, suspect_backoff=0.1, suspect_probes=1
+)
+
+#: Seconds between the standby's journal reads.
+TAIL_POLL = 0.1
 
 
 @dataclass(frozen=True)
@@ -77,26 +87,18 @@ class StandbyCoordinator:
     def __init__(
         self,
         cluster: "CalliopeCluster",
-        poll: float = 0.1,
-        leader_heartbeat: Optional[HeartbeatConfig] = None,
         name: str = "coordinator-standby",
     ):
         if cluster.journal is None:
             raise ValueError("warm standby requires the recovery journal")
         self.cluster = cluster
         self.sim = cluster.sim
-        self.poll = poll
         self.shadow: "Coordinator" = cluster.build_coordinator(
             name=name, standby=True
         )
         #: Leader liveness detector, fed by the cluster's beacon.
         self.leader_monitor = HeartbeatMonitor(
-            self.sim,
-            leader_heartbeat or HeartbeatConfig(
-                period=0.1, miss_threshold=2,
-                suspect_backoff=0.1, suspect_probes=1,
-            ),
-            on_dead=self._leader_dead,
+            self.sim, LEADER_HEARTBEAT, on_dead=self._leader_dead
         )
         #: Journal position: highest record seq applied to the shadow.
         self.applied_seq = 0
@@ -140,7 +142,7 @@ class StandbyCoordinator:
     def _tail_loop(self) -> Generator:
         while not self.stopped and not self.promoted:
             self.sync()
-            yield self.sim.timeout(self.poll)
+            yield self.sim.timeout(TAIL_POLL)
 
     # -- leader watch ----------------------------------------------------------
 
