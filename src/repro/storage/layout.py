@@ -54,8 +54,8 @@ class Volume:
         data = yield from disk.read(offset, self.block_size)
         return data
 
-    def write_block(self, block: int, data: bytes) -> Generator:
-        """Write one block (``data`` shorter than a block is zero-padded)."""
+    def _whole_block(self, block: int, data: bytes) -> Tuple[RawDisk, int, bytes]:
+        """Check a block write; returns its disk, offset and padded data."""
         self._check(block)
         if len(data) > self.block_size:
             raise StorageError(
@@ -64,6 +64,11 @@ class Volume:
         if len(data) < self.block_size:
             data = data + b"\x00" * (self.block_size - len(data))
         disk, offset = self.locate(block)
+        return disk, offset, data
+
+    def write_block(self, block: int, data: bytes) -> Generator:
+        """Write one block (``data`` shorter than a block is zero-padded)."""
+        disk, offset, data = self._whole_block(block, data)
         yield from disk.write(offset, data)
 
     def disk_of(self, block: int) -> RawDisk:
@@ -80,14 +85,7 @@ class Volume:
     def write_block_sync(self, block: int, data: bytes) -> None:
         """Administrative write without simulated latency (content
         pre-loading before a measured run)."""
-        self._check(block)
-        if len(data) > self.block_size:
-            raise StorageError(
-                f"write of {len(data)} bytes exceeds {self.block_size} block"
-            )
-        if len(data) < self.block_size:
-            data = data + b"\x00" * (self.block_size - len(data))
-        disk, offset = self.locate(block)
+        disk, offset, data = self._whole_block(block, data)
         disk.write_sync(offset, data)
 
 
