@@ -38,11 +38,6 @@ class HostBusAdapter:
         self.outstanding = 0  # commands currently in flight on this chain
         self.commands_issued = 0
 
-    @property
-    def active(self) -> bool:
-        """True while any command is outstanding on this chain."""
-        return self.outstanding > 0
-
     def command_begin(self) -> None:
         """Record a new command entering the chain."""
         self.outstanding += 1

@@ -196,10 +196,6 @@ class Network:
             raise ProtocolError(f"duplicate host {host.name!r} on {self.name}")
         self._hosts[host.name] = host
 
-    def host(self, name: str) -> Host:
-        """Look up a registered host."""
-        return self._hosts[name]
-
     def join_group(self, group: str, member: Address) -> None:
         """Subscribe ``member`` (a unicast socket address) to ``group``."""
         if not group.startswith(MULTICAST_PREFIX):

@@ -25,7 +25,6 @@ from repro.verify.runner import (
     load_repro,
     run_schedule,
     shrink,
-    verify_seeds,
     write_repro,
 )
 
@@ -42,6 +41,5 @@ __all__ = [
     "load_repro",
     "run_schedule",
     "shrink",
-    "verify_seeds",
     "write_repro",
 ]

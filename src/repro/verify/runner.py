@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.verify.faults import ChaosSchedule
 from repro.verify.harness import ChaosCluster, ChaosConfig, ChaosReport
 from repro.verify.invariants import InvariantRegistry
 
-__all__ = [
-    "run_schedule", "shrink", "write_repro", "load_repro", "verify_seeds",
-]
+__all__ = ["run_schedule", "shrink", "write_repro", "load_repro"]
 
 
 def run_schedule(
@@ -90,21 +88,3 @@ def write_repro(
 def load_repro(path: Union[str, Path]) -> ChaosSchedule:
     """Load a schedule previously written by :func:`write_repro`."""
     return ChaosSchedule.from_dict(json.loads(Path(path).read_text()))
-
-
-def verify_seeds(
-    seeds: Sequence[int],
-    n_ops: int = 50,
-    horizon: float = 20.0,
-    config: Optional[ChaosConfig] = None,
-) -> List[ChaosReport]:
-    """Generate-and-run one schedule per seed; one report each."""
-    cfg = config or ChaosConfig()
-    reports = []
-    for seed in seeds:
-        schedule = ChaosSchedule.generate(
-            seed, n_ops, horizon=horizon,
-            n_msus=cfg.n_msus, n_titles=cfg.n_titles,
-        )
-        reports.append(run_schedule(schedule, cfg))
-    return reports
