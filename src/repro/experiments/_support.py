@@ -24,6 +24,7 @@ __all__ = [
     "population_fields",
     "run_population",
     "run_streaming_workload",
+    "start_viewers",
     "watch",
 ]
 
@@ -65,6 +66,36 @@ def watch(
     view = yield from client.play(title, port_name)
     views[port_name] = view
     yield from client.wait_ready(view)
+
+
+def start_viewers(
+    cluster: CalliopeCluster,
+    titles: Sequence[str],
+    n_viewers: int,
+    until: float,
+    tag: str,
+    viewer: Callable[..., Generator] = watch,
+    **client_options,
+) -> Tuple[Client, Dict[str, GroupView]]:
+    """Start ``n_viewers`` viewers on one ``audience`` client; run to ``until``.
+
+    The client opens a ``user`` session; at 0.2 s viewer ``v`` starts
+    ``viewer(client, titles[v % len(titles)], f"v{v}", views)`` as the
+    process ``{tag}.v{v}``.  Extra keywords go to :class:`Client`.
+    Returns the client and ``views``, the viewers' groups by port name.
+    """
+    sim = cluster.sim
+    client = Client(sim, cluster, "audience", **client_options)
+    views: Dict[str, GroupView] = {}
+    sim.process(client.open_session("user"), name=f"{tag}.session")
+    sim.run(until=0.2)
+    for v in range(n_viewers):
+        sim.process(
+            viewer(client, titles[v % len(titles)], f"v{v}", views),
+            name=f"{tag}.v{v}",
+        )
+    sim.run(until=until)
+    return client, views
 
 
 def run_population(

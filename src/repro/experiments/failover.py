@@ -28,14 +28,13 @@ Two scenarios on the same loaded cluster:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
-from repro.clients.client import Client, GroupView
 from repro.clients.playback import resume_gap
 from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.core.replication import ReplicationManager
 from repro.experiments import Experiment, headline
-from repro.experiments._support import load_titles, watch
+from repro.experiments._support import load_titles, start_viewers
 from repro.failover import FailoverConfig, HeartbeatConfig
 from repro.metrics.report import format_failover_summary
 from repro.sim import Simulator
@@ -118,17 +117,10 @@ def _run_scenario(
             manager.replicate(name, f"msu{survivor}", disk_id)
         manager.watch(coord)
 
-    client = Client(
-        sim, cluster, "audience", reconnect_retries=8, reconnect_backoff=0.25
+    client, views = start_viewers(
+        cluster, titles, n_viewers, kill_at, "e17",
+        reconnect_retries=8, reconnect_backoff=0.25,
     )
-    views: Dict[str, GroupView] = {}
-    sim.process(client.open_session("user"), name="e17.session")
-    sim.run(until=0.2)
-    for v in range(n_viewers):
-        sim.process(
-            watch(client, titles[v % n_titles], f"v{v}", views), name=f"e17.v{v}"
-        )
-    sim.run(until=kill_at)
 
     victim_ports = [
         port for port, view in views.items()

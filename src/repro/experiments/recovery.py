@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
-from repro.clients.client import Client, GroupView
 from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.experiments import Experiment, headline
-from repro.experiments._support import load_titles, watch
+from repro.experiments._support import load_titles, start_viewers
 from repro.metrics.report import format_recovery_summary
 from repro.recovery import RecoveryConfig, books_state, expected_books
 from repro.sim import Simulator
@@ -93,15 +92,7 @@ def _run_point(
         place=lambda t: (t % n_msus, t % 2), settle=0.05,
     )
 
-    client = Client(sim, cluster, "audience")
-    views: Dict[str, GroupView] = {}
-    sim.process(client.open_session("user"), name="e20.session")
-    sim.run(until=0.2)
-    for v in range(n_viewers):
-        sim.process(
-            watch(client, titles[v % n_titles], f"v{v}", views), name=f"e20.v{v}"
-        )
-    sim.run(until=kill_at)
+    _, views = start_viewers(cluster, titles, n_viewers, kill_at, "e20")
 
     active_before = sum(
         len(group.allocations) for group in coord.groups.values()

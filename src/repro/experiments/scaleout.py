@@ -28,13 +28,14 @@ suite).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Sequence, Tuple
 
 from repro.clients.client import Client, GroupView
 from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.experiments import Experiment, headline
-from repro.experiments._support import load_titles, watch
+from repro.experiments._support import load_titles, start_viewers, watch
 from repro.recovery import RecoveryConfig
 from repro.scaleout import ScaleOutConfig
 from repro.sim import Simulator
@@ -122,17 +123,11 @@ def _run_takeover_point(
         place=lambda t: (t % n_msus, t % 2), settle=0.05,
     )
 
-    client = Client(sim, cluster, "audience")
-    views: Dict[str, GroupView] = {}
     ready: Dict[str, float] = {}
-    sim.process(client.open_session("user"), name="e24.session")
-    sim.run(until=0.2)
-    for v in range(n_viewers):
-        sim.process(
-            _viewer(client, titles[v % n_titles], f"v{v}", views, ready, sim),
-            name=f"e24.v{v}",
-        )
-    sim.run(until=kill_at)
+    _, views = start_viewers(
+        cluster, titles, n_viewers, kill_at, "e24",
+        viewer=functools.partial(_viewer, ready_at=ready, sim=sim),
+    )
 
     active_before = sum(
         len(group.allocations) for group in coord.groups.values()
