@@ -17,7 +17,7 @@ Run:  python examples/fault_tolerance.py
 """
 
 from repro.clients import Client
-from repro.core import CalliopeCluster, ClusterConfig
+from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.core.replication import ReplicationManager
 from repro.media import MpegEncoder, packetize_cbr
 from repro.sim import Simulator

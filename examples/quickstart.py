@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.clients import Client
-from repro.core import CalliopeCluster, ClusterConfig
+from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.media import MpegEncoder, packetize_cbr
 from repro.sim import Simulator
 from repro.units import CBR_PACKET_SIZE, MPEG1_RATE

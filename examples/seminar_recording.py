@@ -11,7 +11,7 @@ Run:  python examples/seminar_recording.py
 """
 
 from repro.clients import Client
-from repro.core import CalliopeCluster, ClusterConfig
+from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.media import NvEncoder, VatEncoder
 from repro.net import messages as m
 from repro.net.rtp import RtpHeader

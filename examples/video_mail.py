@@ -11,7 +11,7 @@ Run:  python examples/video_mail.py
 """
 
 from repro.clients import Client
-from repro.core import CalliopeCluster, ClusterConfig
+from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.media import NvEncoder
 from repro.net.rtp import RtpHeader
 from repro.sim import Simulator

@@ -11,7 +11,7 @@ Run:  python examples/video_on_demand.py
 """
 
 from repro.clients import Client
-from repro.core import CalliopeCluster, ClusterConfig
+from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.media import MpegEncoder, packetize_cbr
 from repro.net import messages as m
 from repro.sim import Simulator

@@ -1,23 +1,22 @@
 """The MSU side of the page cache: prefix pins and usage reports.
 
-Installed on an MSU built with a ``cache_config``; the page cache itself
-is ``Msu.cache``, shared by every disk process.  As an
-:class:`~repro.core.msu.parts.MsuPart` it advertises the cache bandwidth,
-reports pinned prefixes, invalidates deleted files and stops reporting
-when the MSU halts.
+Built from a :class:`~repro.cache.manager.CacheConfig`, it builds the
+page cache and binds it as ``Msu.cache``, shared by every disk process.
+As an :class:`~repro.core.msu.parts.MsuPart` it advertises the cache
+bandwidth, reports pinned prefixes, invalidates deleted files and stops
+reporting when the MSU halts.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import Generator, Optional
 
+from repro.cache.manager import CacheConfig, MsuPageCache
+from repro.core.msu.msu import Msu
 from repro.core.msu.parts import MsuPart, stop
 from repro.net import messages as m
 from repro.net.network import ControlChannel
-
-if TYPE_CHECKING:
-    from repro.core.msu.msu import Msu
-    from repro.sim import Process
+from repro.sim import Process
 
 __all__ = ["MsuCache"]
 
@@ -25,10 +24,11 @@ __all__ = ["MsuCache"]
 class MsuCache(MsuPart):
     """One MSU's prefix pinning and cache reporting."""
 
-    def __init__(self, msu: "Msu"):
+    def __init__(self, msu: Msu, config: CacheConfig):
         self.msu = msu
-        self.cache = msu.cache
-        self.report_proc: Optional["Process"] = None
+        self.cache = msu.cache = MsuPageCache(config)
+        msu.cache_part = self
+        self.report_proc: Optional[Process] = None
         msu.handlers[m.PinPrefix] = self.pin
 
     def pin(self, msg: m.PinPrefix) -> None:

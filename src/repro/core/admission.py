@@ -9,6 +9,22 @@ necessary resources becomes available."
 For recording the Coordinator must find disk *space* as well as bandwidth,
 sized from the client's length estimate and the content type's storage
 consumption rate; unused space returns when the recording completes.
+
+While the cluster is missing an MSU the queue stops being plain FIFO.
+Three bands, most urgent first:
+
+``PRIORITY_RESUME``       interrupted streams waiting for a replica or a
+                          freed slot — a viewer is staring at a frozen
+                          frame right now.
+``PRIORITY_SINGLE_COPY``  new requests for titles whose only live copy
+                          competes for scarce surviving capacity.
+``PRIORITY_NORMAL``       everything else.
+
+The band is computed at enqueue time from the admin database's view of
+live copies; :meth:`AdmissionControl.enqueue` keeps the queue sorted so
+the Coordinator's ``_retry_queue`` drain order is the priority order.
+A :class:`ResumeTicket` is the queued form of a playback group that an
+MSU failure interrupted (repro.failover's migrator builds them).
 """
 
 from __future__ import annotations
@@ -16,15 +32,86 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.core.database import AdminDatabase, ContentEntry, DiskState, MsuState
-from repro.failover import PRIORITY_NORMAL, ResumeTicket
 from repro.media.content import ContentType
 from repro.net import messages as m
 from repro.recovery.parts import Part, from_image, image
 
-__all__ = ["Allocation", "AdmissionControl", "QueuedRequest"]
+__all__ = [
+    "Allocation",
+    "AdmissionControl",
+    "QueuedRequest",
+    "StreamMeta",
+    "MemberResume",
+    "ResumeTicket",
+    "PRIORITY_RESUME",
+    "PRIORITY_SINGLE_COPY",
+    "PRIORITY_NORMAL",
+    "live_locations",
+    "is_degraded",
+    "play_priority",
+]
+
+PRIORITY_RESUME = 0
+PRIORITY_SINGLE_COPY = 1
+PRIORITY_NORMAL = 2
+
+
+def live_locations(db, entry) -> List[Tuple[str, str]]:
+    """The entry's (msu, disk) copies hosted on MSUs still marked up."""
+    out = []
+    for msu_name, disk_id in entry.locations():
+        state = db.msus.get(msu_name)
+        if state is not None and state.available:
+            out.append((msu_name, disk_id))
+    return out
+
+
+def is_degraded(db) -> bool:
+    """True while any registered MSU is marked down."""
+    return any(not state.available for state in db.msus.values())
+
+
+def play_priority(db, entry) -> int:
+    """Queue band for a new play request on ``entry``."""
+    if is_degraded(db) and len(live_locations(db, entry)) <= 1:
+        return PRIORITY_SINGLE_COPY
+    return PRIORITY_NORMAL
+
+
+@dataclass(frozen=True)
+class StreamMeta:
+    """What the Coordinator must remember per stream to re-place it."""
+
+    content_name: str
+    type_name: str
+    display_address: Tuple[str, int]
+
+
+@dataclass(frozen=True)
+class MemberResume:
+    """One stream of a ticket: identity plus where to pick it back up."""
+
+    stream_id: int
+    content_name: str
+    type_name: str
+    display_address: Tuple[str, int]
+    start_page: int = 0
+    start_us: int = 0
+
+
+@dataclass(frozen=True)
+class ResumeTicket:
+    """A playback group orphaned by an MSU failure."""
+
+    group_id: int
+    session_id: int
+    client_host: str
+    from_msu: str
+    members: Tuple[MemberResume, ...]
+    failed_at: float
 
 
 @dataclass
@@ -55,7 +142,7 @@ class QueuedRequest:
     message: object
     #: The requester's control channel; None once it died with a crash.
     channel: object
-    #: Degraded-mode band (repro.failover.degraded); lower drains first.
+    #: Degraded-mode band (``PRIORITY_*`` above); lower drains first.
     priority: int = PRIORITY_NORMAL
     #: Durable identity in the recovery journal (0 = never journaled).
     ticket_id: int = 0

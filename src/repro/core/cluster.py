@@ -1,39 +1,50 @@
-"""Cluster assembly: Figure 1 in code.
+"""Cluster assembly: Figure 1 in code, and the one composition root.
 
 A :class:`CalliopeCluster` wires up a Coordinator machine, N MSUs, the
 intra-server Ethernet and the FDDI delivery network, and provides the
 administrative helpers experiments and examples share: pre-loading
 content, installing fast-scan companions and connecting clients.
+
+The core names no subsystem; this module sits above them all.
+:func:`build_coordinator` and :func:`msu_parts` build and attach the
+parts a :class:`ClusterConfig` names (DESIGN §3, package layers).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.manager import CacheConfig
+from repro.cache.msu_side import MsuCache
 from repro.core.coordinator import Coordinator
-from repro.edge.proxy import EdgeConfig, EdgeProxy
 from repro.core.msu.msu import Msu
+from repro.core.msu.parts import MsuPart
+from repro.edge import EdgeConfig, EdgeProxy, PlacementManager
 from repro.errors import CalliopeError
-from repro.failover import FailoverConfig
+from repro.failover import FailoverConfig, HeartbeatMonitor, StreamMigrator
 from repro.hardware.params import MachineParams
+from repro.live import LiveConfig, LiveManager
+from repro.live.msu_side import MsuLive
 from repro.media.content import ContentType
 from repro.media.filtering import make_fast_backward, make_fast_forward
 from repro.media.mpeg import packetize_cbr
+from repro.multicast import ChannelManager, MulticastConfig
+from repro.multicast.msu_side import MsuMulticast
 from repro.net.network import ControlChannel, Network
 from repro.recovery import JournalStore, RecoveryConfig, recover
+from repro.scaleout import ScaleOutConfig, ShardSet
+from repro.scaleout.standby import (
+    LEADER_HEARTBEAT,
+    StandbyCoordinator,
+    TakeoverOutcome,
+)
 from repro.sim import Simulator
 from repro.storage.ibtree import IBTreeConfig
 from repro.units import ms
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.live.manager import LiveConfig
-    from repro.multicast.channel import MulticastConfig
-    from repro.scaleout import ScaleOutConfig
-    from repro.scaleout.standby import StandbyCoordinator, TakeoverOutcome
-
-__all__ = ["ClusterConfig", "CalliopeCluster"]
+__all__ = ["ClusterConfig", "CalliopeCluster", "build_coordinator", "msu_parts"]
 
 #: Intra-server network message latency (Ethernet RPC).
 INTRA_LATENCY = ms(1.0)
@@ -73,8 +84,70 @@ class ClusterConfig:
     live: Optional[LiveConfig] = None
     #: Coordinator scale-out — warm standby + sharded admission
     #: (extension); None keeps the paper's single serial Coordinator.
-    scaleout: Optional["ScaleOutConfig"] = None
+    scaleout: Optional[ScaleOutConfig] = None
     seed: int = 42
+
+
+def build_coordinator(
+    sim: Simulator,
+    config: ClusterConfig,
+    name: str = "coordinator",
+    standby: bool = False,
+) -> Coordinator:
+    """A Coordinator with every part ``config`` names.
+
+    The one constructor for the acting leader, its cold-restarted
+    replacement, every warm-standby shadow and an offline journal
+    replay, so the journal's writer and its readers hold the same
+    parts.  The parts are built failover, multicast, edge, live: the
+    placement loop and the EPG slots start in their constructors, so
+    this order fixes their order within one instant.  They join
+    ``coord.parts`` in reconcile order: channels, live, placement,
+    shards.
+    """
+    coord = Coordinator(
+        sim, types=config.types,
+        block_size=config.ibtree_config.data_page_size, name=name,
+        standby=standby,
+    )
+    if config.failover is not None:
+        coord.monitor = HeartbeatMonitor(
+            sim, config.failover.heartbeat, on_dead=coord._heartbeat_dead
+        )
+        coord.migrator = StreamMigrator(coord)
+    if config.multicast is not None:
+        coord.channel_manager = ChannelManager(coord, config.multicast)
+    if config.edge is not None:
+        coord.placement = PlacementManager(coord, config.edge)
+        coord.admission.edge_books = coord.placement
+    if config.live is not None:
+        coord.live_manager = LiveManager(coord, config.live)
+    for part in (coord.channel_manager, coord.live_manager, coord.placement):
+        if part is not None:
+            coord.add_part(part)
+    scaleout = config.scaleout
+    if scaleout is not None:
+        # Even a single shard gets the escrow/service machinery, so a
+        # 1-shard run is an honest baseline for the E24 scaling.
+        coord.enable_shards(ShardSet(
+            coord.db, scaleout.shards,
+            refill_fraction=scaleout.refill_fraction,
+            service_time=scaleout.admit_service_time,
+        ))
+    return coord
+
+
+def msu_parts(config: ClusterConfig) -> List[Callable[[Msu], MsuPart]]:
+    """The MSU parts ``config`` names, in the order the MSU walks them.
+
+    Multicast and live TV always: they idle until a Coordinator opens a
+    channel, and the multicast part calls the live part.  The page cache
+    only when configured.
+    """
+    parts: List[Callable[[Msu], MsuPart]] = [MsuMulticast, MsuLive]
+    if config.cache is not None:
+        parts.append(functools.partial(MsuCache, config=config.cache))
+    return parts
 
 
 class CalliopeCluster:
@@ -94,9 +167,9 @@ class CalliopeCluster:
             )
             self.coordinator.attach_journal(self.journal)
         #: Warm standbys tailing the journal (repro.scaleout).
-        self.standbys: List["StandbyCoordinator"] = []
+        self.standbys: List[StandbyCoordinator] = []
         #: Completed standby promotions, in order.
-        self.takeovers: List["TakeoverOutcome"] = []
+        self.takeovers: List[TakeoverOutcome] = []
         #: Sim time the current/most recent leader actually died.
         self.leader_lost_at = 0.0
         self._beacon_running = False
@@ -108,6 +181,7 @@ class CalliopeCluster:
         self._vcr_listeners: Dict[str, object] = {}
         #: group_id -> channel, populated as MSUs open VCR connections.
         self.vcr_channels: Dict[int, ControlChannel] = {}
+        parts = msu_parts(config)
         for i in range(config.n_msus):
             msu = Msu(
                 sim,
@@ -120,7 +194,7 @@ class CalliopeCluster:
                 ibtree_config=config.ibtree_config,
                 client_channel_factory=self._make_vcr_channel,
                 striped=config.striped_msus,
-                cache_config=config.cache,
+                parts=parts,
                 heartbeat_period=heartbeat_period,
             )
             channel = ControlChannel(
@@ -146,38 +220,14 @@ class CalliopeCluster:
     def build_coordinator(
         self, name: str = "coordinator", standby: bool = False
     ) -> Coordinator:
-        """A Coordinator with every part this cluster's config names.
+        """A Coordinator with every part this cluster's config names
+        (:func:`build_coordinator`)."""
+        return build_coordinator(self.sim, self.config, name=name, standby=standby)
 
-        The one constructor for the acting leader, its cold-restarted
-        replacement and every warm-standby shadow, so the journal's
-        writer and its readers always hold the same parts.
-        """
-        config = self.config
-        coord = Coordinator(
-            self.sim, types=config.types,
-            block_size=config.ibtree_config.data_page_size, name=name,
-            failover=config.failover, multicast=config.multicast,
-            edge=config.edge, live=config.live, standby=standby,
-        )
-        scaleout = config.scaleout
-        if scaleout is not None:
-            # Even a single shard gets the escrow/service machinery, so
-            # a 1-shard run is an honest baseline for the E24 scaling.
-            coord.enable_shards(
-                scaleout.shards,
-                refill_fraction=scaleout.refill_fraction,
-                service_time=scaleout.admit_service_time,
-            )
-        return coord
-
-    def create_standby(self) -> "StandbyCoordinator":
+    def create_standby(self) -> StandbyCoordinator:
         """Bring up a warm standby tailing this cluster's journal."""
         if self.journal is None:
             raise CalliopeError("warm standby requires the recovery journal")
-        # Imported here: repro.scaleout pulls recovery/replay back in,
-        # so a module-level import would be circular.
-        from repro.scaleout.standby import StandbyCoordinator
-
         standby = StandbyCoordinator(
             self, name=f"coordinator-standby{len(self.standbys)}"
         )
@@ -196,8 +246,6 @@ class CalliopeCluster:
         turns the silence into a dead verdict after its configured
         detection latency — no oracle shortcut.
         """
-        from repro.scaleout.standby import LEADER_HEARTBEAT
-
         while True:
             yield self.sim.timeout(LEADER_HEARTBEAT.period)
             if self.coordinator_down or self.coordinator.dead:
@@ -205,7 +253,7 @@ class CalliopeCluster:
             for standby in self.standbys:
                 standby.leader_beat()
 
-    def promote_standby(self, standby: "StandbyCoordinator") -> None:
+    def promote_standby(self, standby: StandbyCoordinator) -> None:
         """Swap ``standby``'s shadow in as the acting Coordinator.
 
         Called by the standby's own takeover path (detector verdict) or

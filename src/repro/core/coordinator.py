@@ -19,13 +19,16 @@ utilization plus the intra-server network load.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
-if TYPE_CHECKING:
-    from repro.edge import EdgeConfig, PlacementManager
-    from repro.multicast import ChannelManager, MulticastConfig
-
-from repro.core.admission import AdmissionControl, Allocation, QueuedRequest
+from repro.core.admission import (
+    PRIORITY_RESUME,
+    AdmissionControl,
+    Allocation,
+    QueuedRequest,
+    StreamMeta,
+    play_priority,
+)
 from repro.core.database import AdminDatabase, ContentEntry
 from repro.core.sessions import (
     DisplayPort,
@@ -35,14 +38,6 @@ from repro.core.sessions import (
     StreamTables,
 )
 from repro.errors import TypeMismatchError
-from repro.failover import (
-    PRIORITY_RESUME,
-    FailoverConfig,
-    HeartbeatMonitor,
-    StreamMeta,
-    StreamMigrator,
-    play_priority,
-)
 from repro.hardware.machine import Machine
 from repro.hardware.params import ETHERNET_10, MachineParams
 from repro.media.content import DEFAULT_TYPES, ContentType, ContentTypeRegistry
@@ -79,10 +74,6 @@ class Coordinator:
         machine_params: Optional[MachineParams] = None,
         block_size: int = BLOCK_SIZE,
         name: str = "coordinator",
-        failover: Optional[FailoverConfig] = None,
-        multicast: Optional[MulticastConfig] = None,
-        edge: Optional[EdgeConfig] = None,
-        live=None,
         standby: bool = False,
     ):
         self.sim = sim
@@ -113,54 +104,30 @@ class Coordinator:
         self.install(m.CacheReport, self._cache_report)
         self.install(m.StreamTerminated, self._terminated, held=True)
         self.install(m.PatchDrained, self._patch_drained, held=True)
-        self.failover = failover
-        #: Heartbeat failure detector; None falls back to the paper's
-        #: broken-connection signal only.
-        self.monitor: Optional[HeartbeatMonitor] = None
-        #: Stream migrator; None means failed streams just queue.
-        self.migrator: Optional[StreamMigrator] = None
-        if failover is not None:
-            self.monitor = HeartbeatMonitor(
-                sim, failover.heartbeat, on_dead=self._heartbeat_dead
-            )
-            self.migrator = StreamMigrator(self)
+        # Subsystem parts; repro.core.cluster.build_coordinator attaches
+        # the configured ones.  None keeps the paper's behaviour.
+        #: Heartbeat failure detector (repro.failover); None falls back
+        #: to the paper's broken-connection signal only.
+        self.monitor = None
+        #: Stream migrator (repro.failover); None means failed streams
+        #: just queue.
+        self.migrator = None
         #: Multicast channel manager (batching + patching); None keeps
         #: the paper's one-unicast-stream-per-viewer delivery.
-        self.channel_manager: Optional[ChannelManager] = None
-        if multicast is not None:
-            # Imported here: repro.multicast pulls admission types back in,
-            # so a module-level import would be circular.
-            from repro.multicast import ChannelManager
-
-            self.channel_manager = ChannelManager(self, multicast)
+        self.channel_manager = None
         #: Edge-tier placement manager (prefix caches near the clients);
         #: None keeps every byte flowing from the MSUs.
-        self.placement: Optional[PlacementManager] = None
-        if edge is not None:
-            # Imported here for the same cycle reason as ChannelManager.
-            from repro.edge.placement import PlacementManager
-
-            self.placement = PlacementManager(self, edge)
-            self.admission.edge_books = self.placement
+        self.placement = None
         #: Live-TV manager (EPG, channel ingest + fan-out, rewind-live);
         #: None keeps the server pure video-on-demand.
         self.live_manager = None
-        if live is not None:
-            # Imported here for the same cycle reason as ChannelManager.
-            from repro.live.manager import LiveManager
-
-            self.live_manager = LiveManager(self, live)
         #: Hook fired as ``callback(msu_name, lost_titles)`` after a
         #: failure; the ReplicationManager's watch() uses it to restore
         #: replica counts for titles that just lost a copy.
         self.on_capacity_lost = None
         #: Every stateful part, in reconcile order (repro.recovery.parts):
         #: snapshots, replay and reconciliation walk this list.
-        self.parts = [self.db, self.admission, self.tables] + [
-            part
-            for part in (self.channel_manager, self.live_manager, self.placement)
-            if part is not None
-        ]
+        self.parts = [self.db, self.admission, self.tables]
         #: Write-ahead log (repro.recovery); None disables journaling.
         self.journal = None
         #: True once halt() ran — this instance is a dead process image.
@@ -195,19 +162,10 @@ class Coordinator:
 
     # -- scale-out (repro.scaleout) -----------------------------------------------
 
-    def enable_shards(
-        self,
-        n_shards: int,
-        refill_fraction: float = 0.25,
-        service_time: float = 0.0,
-    ):
-        """Split the per-disk bandwidth books into N escrowed shards."""
-        from repro.scaleout.escrow import ShardSet
-
-        self.shards = ShardSet(
-            self.db, n_shards,
-            refill_fraction=refill_fraction, service_time=service_time,
-        )
+    def enable_shards(self, shards):
+        """Split the per-disk bandwidth books into escrowed ``shards`` (a
+        :class:`~repro.scaleout.escrow.ShardSet` over this ``db``)."""
+        self.shards = shards
         self.shards.journal = self._journal
         # A shadow's escrow moves arrive from the tail, never originate.
         self.shards.replaying = self.standby

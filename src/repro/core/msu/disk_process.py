@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Callable, Generator, List, Optional
 
-from repro.cache.manager import MsuPageCache
 from repro.errors import OutOfSpaceError
 from repro.core.msu.parts import stop
 from repro.core.msu.queues import Signal
@@ -42,7 +41,7 @@ class DiskProcess:
         on_page_loaded: Optional[Callable] = None,
         on_record_drained: Optional[Callable] = None,
         on_page_written: Optional[Callable] = None,
-        cache: Optional[MsuPageCache] = None,
+        cache=None,
     ):
         self.sim = sim
         self.fs = fs
@@ -57,7 +56,8 @@ class DiskProcess:
         #: Called with (stream,) after each recorded page lands on disk —
         #: the live subsystem's hook for ring-window reclamation.
         self.on_page_written = on_page_written
-        #: Shared MSU page cache; None reproduces the paper's no-cache MSU.
+        #: Shared MSU page cache (``Msu.cache``); None reproduces the
+        #: paper's no-cache MSU.
         self.cache = cache
         self.pages_read = 0  # pages that actually spent a disk slot
         self.pages_from_cache = 0  # pages served by the cache instead

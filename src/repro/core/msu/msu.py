@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Set
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Set
 
-from repro.cache.manager import CacheConfig, MsuPageCache
-from repro.cache.msu_side import MsuCache
 from repro.core.msu.disk_process import DiskProcess
 from repro.core.msu.network_process import NetworkProcess
 from repro.core.msu.parts import MsuPart, stop
@@ -37,8 +35,6 @@ from repro.core.msu.vcr import seek_stream, switch_variant
 from repro.errors import StorageError, VCRError
 from repro.hardware.machine import Machine
 from repro.hardware.params import FDDI, MachineParams
-from repro.live.msu_side import MsuLive
-from repro.multicast.msu_side import MsuMulticast
 from repro.net import messages as m
 from repro.net.network import ControlChannel, Host, Network, UdpSocket
 from repro.net.protocols import ProtocolRegistry, default_registry
@@ -90,7 +86,7 @@ class Msu:
         ibtree_config: IBTreeConfig = IBTreeConfig(),
         client_channel_factory: Optional[Callable] = None,
         striped: bool = False,
-        cache_config: Optional[CacheConfig] = None,
+        parts: Sequence[Callable[["Msu"], MsuPart]] = (),
         heartbeat_period: float = 0.0,
     ):
         self.sim = sim
@@ -112,21 +108,18 @@ class Msu:
             m.ScheduleRecord: self._schedule_record,
             m.DeleteFile: self._delete_file,
         }
-        self.multicast_part = MsuMulticast(self)
-        self.live_part = MsuLive(self)
-        #: Active multicast channels, by channel id.
-        self.channels = self.multicast_part.channels
-        #: Live channels layered on top of ``channels``, by channel id.
-        self.live = self.live_part.channels
-        # Optional interval/prefix page cache (extension): one pool shared
-        # by every disk process; None reproduces the paper's no-cache MSU.
-        self.cache = MsuPageCache(cache_config) if cache_config is not None else None
-        self.cache_part = MsuCache(self) if self.cache is not None else None
+        # Each part binds its own attributes when built: the multicast
+        # part ``multicast_part`` and ``channels``, the live part
+        # ``live_part`` and ``live``, the cache part ``cache_part`` and
+        # ``cache``.  These defaults are the ones the core reads.
+        self.live_part = None
+        #: Live channels layered on multicast channels, by channel id.
+        self.live: Dict[int, object] = {}
+        #: Interval/prefix page cache shared by every disk process; None
+        #: reproduces the paper's no-cache MSU (§2.3.3).
+        self.cache = None
         #: The installed parts, walked in this order (repro.core.msu.parts).
-        self.parts: List[MsuPart] = [
-            part for part in (self.multicast_part, self.live_part, self.cache_part)
-            if part
-        ]
+        self.parts: List[MsuPart] = [build(self) for build in parts]
         # Per-disk file systems (the paper's MSU does not stripe, §2.3.3);
         # ``striped=True`` builds the §2.3.3 alternative: one file system
         # whose consecutive blocks land on "adjacent" disks, served by a
@@ -150,7 +143,10 @@ class Msu:
                 sim, fs, disk_id,
                 on_page_loaded=self._on_page_loaded,
                 on_record_drained=self._on_record_drained,
-                on_page_written=self.live_part.on_page_written,
+                on_page_written=(
+                    self.live_part.on_page_written
+                    if self.live_part is not None else None
+                ),
                 cache=self.cache,
             )
         self.data_socket = self.host.bind(self.DATA_PORT)
@@ -553,7 +549,8 @@ class Msu:
 
     def _on_record_drained(self, stream: RecordStream) -> None:
         """Disk process flushed a finishing recording's last page."""
-        self.live_part.ingest_drained(stream)
+        if self.live_part is not None:
+            self.live_part.ingest_drained(stream)
         group = self._stream_group.get(stream.stream_id)
         handle = stream.handle
         handle.duration_us = stream.last_delivery_us

@@ -17,11 +17,13 @@ then load-balances across replicas automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.core.cluster import CalliopeCluster
 from repro.core.database import ContentEntry, DiskState
 from repro.errors import CalliopeError, OutOfSpaceError
+
+if TYPE_CHECKING:  # pragma: no cover - the composition root sits above core
+    from repro.core.cluster import CalliopeCluster
 
 __all__ = ["ReplicationManager", "ReplicationDecision"]
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.admission import Allocation
+from repro.core.admission import Allocation, StreamMeta
 from repro.core.database import Customer
 from repro.errors import TypeMismatchError, UnknownPortError
-from repro.failover.migrator import StreamMeta
 from repro.media.content import ContentTypeRegistry
 from repro.recovery.parts import Part, from_image, image
 

@@ -10,9 +10,11 @@ package adds the recovery half:
 - :mod:`repro.failover.migrator` — dead MSUs' playback groups are
   re-admitted on surviving replicas and resumed from their last
   reported position with a new ``ResumePlay`` message.
-- :mod:`repro.failover.degraded` — while capacity is lost, the
-  scheduling queue becomes a priority queue: interrupted streams first,
-  then new requests for titles down to one live copy.
+
+While capacity is lost, the scheduling queue is a priority queue:
+interrupted streams first, then new requests for titles down to one live
+copy.  The bands and the resume ticket live in :mod:`repro.core.admission`,
+because the core's queue orders by them.
 
 :class:`FailoverConfig` bundles the knobs; ``ClusterConfig.failover``
 carries it to the Coordinator and the MSUs (None disables everything and
@@ -23,27 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.failover.degraded import (
-    PRIORITY_NORMAL,
-    PRIORITY_RESUME,
-    PRIORITY_SINGLE_COPY,
-    is_degraded,
-    live_locations,
-    play_priority,
-)
 from repro.failover.heartbeat import (
     EndpointHealth,
     HeartbeatConfig,
     HeartbeatMonitor,
     MsuHealth,
 )
-from repro.failover.migrator import (
-    MemberResume,
-    MigrationRecord,
-    ResumeTicket,
-    StreamMeta,
-    StreamMigrator,
-)
+from repro.failover.migrator import MigrationRecord, StreamMigrator
 
 __all__ = [
     "FailoverConfig",
@@ -51,17 +39,8 @@ __all__ = [
     "HeartbeatMonitor",
     "EndpointHealth",
     "MsuHealth",
-    "StreamMeta",
-    "MemberResume",
-    "ResumeTicket",
     "MigrationRecord",
     "StreamMigrator",
-    "PRIORITY_RESUME",
-    "PRIORITY_SINGLE_COPY",
-    "PRIORITY_NORMAL",
-    "is_degraded",
-    "live_locations",
-    "play_priority",
 ]
 
 

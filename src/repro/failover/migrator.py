@@ -28,48 +28,14 @@ the MSU and the Coordinator already dropped the partial content entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, List, Tuple
+from typing import Generator, List
 
+from repro.core.admission import MemberResume, ResumeTicket, StreamMeta
+from repro.core.coordinator import Coordinator
+from repro.core.sessions import GroupRecord
 from repro.net import messages as m
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.coordinator import Coordinator
-
-__all__ = ["StreamMeta", "MemberResume", "ResumeTicket", "MigrationRecord",
-           "StreamMigrator"]
-
-
-@dataclass(frozen=True)
-class StreamMeta:
-    """What the Coordinator must remember per stream to re-place it."""
-
-    content_name: str
-    type_name: str
-    display_address: Tuple[str, int]
-
-
-@dataclass(frozen=True)
-class MemberResume:
-    """One stream of a ticket: identity plus where to pick it back up."""
-
-    stream_id: int
-    content_name: str
-    type_name: str
-    display_address: Tuple[str, int]
-    start_page: int = 0
-    start_us: int = 0
-
-
-@dataclass(frozen=True)
-class ResumeTicket:
-    """A playback group orphaned by an MSU failure."""
-
-    group_id: int
-    session_id: int
-    client_host: str
-    from_msu: str
-    members: Tuple[MemberResume, ...]
-    failed_at: float
+__all__ = ["MigrationRecord", "StreamMigrator"]
 
 
 @dataclass(frozen=True)
@@ -86,7 +52,7 @@ class MigrationRecord:
 class StreamMigrator:
     """Turns orphaned playback groups into resumed ones."""
 
-    def __init__(self, coordinator: "Coordinator"):
+    def __init__(self, coordinator: Coordinator):
         self.coordinator = coordinator
         self.records: List[MigrationRecord] = []
         self.migrated_groups = 0
@@ -133,8 +99,6 @@ class StreamMigrator:
 
     def migrate(self, ticket: ResumeTicket) -> Generator:
         """Re-admit a ticket's group on a surviving MSU and resume it."""
-        from repro.core.coordinator import GroupRecord
-
         coord = self.coordinator
         if coord.dead:
             return

@@ -22,17 +22,16 @@ reconciliation trusts the MSU's ``live_channels`` report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Generator, List, Optional, Set, Tuple
 
+from repro.core.admission import QueuedRequest
+from repro.core.coordinator import Coordinator
+from repro.core.database import ContentEntry
+from repro.core.sessions import GroupRecord, Session
 from repro.multicast.book import ChannelBook
 from repro.net import messages as m
 from repro.net.network import MULTICAST_PREFIX
 from repro.recovery.parts import from_image, image
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.coordinator import Coordinator
-    from repro.core.database import ContentEntry
-    from repro.core.session import Session
 
 __all__ = [
     "LIVE_CHANNEL_BASE",
@@ -119,7 +118,7 @@ class LiveManager(ChannelBook):
     REPORTED, NOUN = "live_channels", "live channel"
     FIRST_CHANNEL = LIVE_CHANNEL_BASE + 1
 
-    def __init__(self, coordinator: "Coordinator", config: LiveConfig):
+    def __init__(self, coordinator: Coordinator, config: LiveConfig):
         super().__init__(coordinator)
         self.config = config
         self._by_name: Dict[str, int] = {}
@@ -186,9 +185,6 @@ class LiveManager(ChannelBook):
 
     def open_channel(self, spec: ChannelSpec) -> Optional[LiveChannelRecord]:
         """Admit and open one live channel; None when the cluster is full."""
-        from repro.core.coordinator import GroupRecord  # cycle: late import
-        from repro.core.database import ContentEntry
-
         coord = self.coord
         if spec.name in coord.db.contents or spec.name in self._by_name:
             return None  # already on the air or recorded under this name
@@ -318,8 +314,8 @@ class LiveManager(ChannelBook):
         self,
         msg: m.PlayRequest,
         channel,
-        session: "Session",
-        entry: "ContentEntry",
+        session: Session,
+        entry: ContentEntry,
         port,
         record: LiveChannelRecord,
     ) -> Generator:
@@ -330,8 +326,6 @@ class LiveManager(ChannelBook):
         leave storms drain at the configured rate instead of saturating
         the Coordinator.
         """
-        from repro.core.admission import QueuedRequest  # cycle: late import
-
         coord = self.coord
         if not self._take_surf_token():
             self.surf_throttled += 1

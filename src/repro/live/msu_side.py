@@ -11,15 +11,13 @@ MSU halts, deleting their time-shift rings with them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
+from repro.core.msu.msu import GroupState, Msu
 from repro.core.msu.parts import MsuPart
 from repro.core.msu.streams import PatchStream, RecordStream
 from repro.net import messages as m
 from repro.storage.filesystem import FileHandle
-
-if TYPE_CHECKING:
-    from repro.core.msu.msu import GroupState, Msu
 
 __all__ = ["LiveState", "MsuLive"]
 
@@ -45,10 +43,12 @@ class LiveState:
 class MsuLive(MsuPart):
     """One MSU's live channels."""
 
-    def __init__(self, msu: "Msu"):
+    def __init__(self, msu: Msu):
         self.msu = msu
+        msu.live_part = self
         #: Live channels layered on ``Msu.channels`` (``Msu.live``).
         self.channels: Dict[int, LiveState] = {}
+        msu.live = self.channels
         #: ingest stream id -> live channel id (ring-trim dispatch).
         self._by_record: Dict[int, int] = {}
         #: content name -> disk id of each time-shift ring still on disk.
@@ -134,7 +134,7 @@ class MsuLive(MsuPart):
         self.msu._kick_disk_for(ch.stream)
         self.msu.iop.wakeup.set()
 
-    def apply_vcr(self, group: "GroupState", live: LiveState,
+    def apply_vcr(self, group: GroupState, live: LiveState,
                   msg: m.VcrCommand) -> None:
         """Pause-live / rewind-live for one viewer of a live channel.
 

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from typing import ClassVar, Dict, Generator, List, Optional, Tuple
 
-from repro.core.admission import Allocation
+from repro.core.admission import Allocation, StreamMeta
+from repro.core.sessions import GroupRecord
 from repro.net import messages as m
 from repro.recovery.parts import Part, from_image, image
 
@@ -98,9 +99,6 @@ class ChannelBook(Part):
         alloc: Optional[Allocation] = None,
     ) -> Tuple[int, int]:
         """Register a viewer's group, subscribe it and journal it."""
-        from repro.core.sessions import GroupRecord  # cycle: late import
-        from repro.failover import StreamMeta
-
         coord = self.coord
         group_id = coord.allocate_group_id()
         stream_id = coord.allocate_stream_id()

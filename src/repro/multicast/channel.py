@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Generator, Iterator, List, Optional
 
-from repro.core.admission import Allocation, QueuedRequest
+from repro.core.admission import Allocation, QueuedRequest, play_priority
 from repro.core.database import ContentEntry
 from repro.multicast.book import ChannelBook
 from repro.multicast.ledger import AdmissionLedger
@@ -314,8 +314,6 @@ class ChannelManager(ChannelBook):
         yield from self._fire_batch(batch)
 
     def _fire_batch(self, batch: _Batch) -> Generator:
-        from repro.failover import play_priority
-
         if self.coord.dead:
             return
         self._batches.pop(batch.content_name, None)

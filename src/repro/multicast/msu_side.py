@@ -10,14 +10,12 @@ and ``StateReport`` channels and forgets its channels when the MSU halts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from repro.core.msu.msu import GroupState, Msu
 from repro.core.msu.parts import MsuPart
 from repro.core.msu.streams import ChannelStream, PatchStream, PlayStream
 from repro.net import messages as m
-
-if TYPE_CHECKING:
-    from repro.core.msu.msu import GroupState, Msu
 
 __all__ = ["ChannelState", "MsuMulticast"]
 
@@ -28,7 +26,7 @@ class ChannelState:
 
     channel_id: int
     stream: ChannelStream
-    group: "GroupState"    # the channel stream's own (server-internal) group
+    group: GroupState    # the channel stream's own (server-internal) group
     disk_id: str
     content_name: str
     mcast_host: str
@@ -39,10 +37,12 @@ class ChannelState:
 class MsuMulticast(MsuPart):
     """One MSU's multicast channels and their subscribers."""
 
-    def __init__(self, msu: "Msu"):
+    def __init__(self, msu: Msu):
         self.msu = msu
+        msu.multicast_part = self
         #: Active multicast channels, by channel id (``Msu.channels``).
         self.channels: Dict[int, ChannelState] = {}
+        msu.channels = self.channels
         msu.handlers[m.ChannelCreate] = self.create
         msu.handlers[m.ChannelSubscribe] = self.subscribe
 
@@ -105,7 +105,7 @@ class MsuMulticast(MsuPart):
         msu._send_ready(group, msg.stream_id, ch.content_name,
                         group_size=group.expected)
 
-    def detach(self, group: "GroupState") -> Optional[int]:
+    def detach(self, group: GroupState) -> Optional[int]:
         """Drop a group's channel membership; returns its stream id.
 
         Closes the channel early ("channel-idle") when the last
@@ -166,7 +166,7 @@ class MsuMulticast(MsuPart):
                    f"channel={ch.channel_id} viewers={len(ch.subscribers)} "
                    f"fanout={stream.fanout_packets}")
 
-    def patch_drained(self, stream: PatchStream, group: "GroupState") -> None:
+    def patch_drained(self, stream: PatchStream, group: GroupState) -> None:
         """The missed prefix is delivered: refund the patch, keep the group."""
         if stream in group.play_streams:
             group.play_streams.remove(stream)
@@ -176,7 +176,7 @@ class MsuMulticast(MsuPart):
         self.msu._trace("patch-drained", f"stream={stream.stream_id}",
                         f"channel={stream.channel_id} group={group.group_id}")
 
-    def downgrade(self, group: "GroupState") -> None:
+    def downgrade(self, group: GroupState) -> None:
         """Swap a subscriber's channel membership for a private stream.
 
         Used when a VCR command (pause/seek/scan) needs a schedule of the

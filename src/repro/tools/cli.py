@@ -249,11 +249,12 @@ def _replay_journal(store):
     ``recover`` raises ValueError for any state it still cannot place
     (escrow records without the snapshot that fixes the shard count).
     """
-    from repro.core.coordinator import Coordinator
+    from repro.core.cluster import ClusterConfig, build_coordinator
     from repro.edge import EdgeConfig
     from repro.live import LiveConfig
     from repro.multicast import MulticastConfig
     from repro.recovery import recover
+    from repro.scaleout import ScaleOutConfig
     from repro.sim import Simulator
 
     snapshot = store.snapshot or {}
@@ -264,14 +265,14 @@ def _replay_journal(store):
             kind.startswith(prefix) for kind in kinds
         )
 
-    coord = Coordinator(
-        Simulator(),
+    shards = snapshot.get("shards")
+    coord = build_coordinator(Simulator(), ClusterConfig(
+        failover=None,
         multicast=MulticastConfig() if named("multicast", "mcast-") else None,
         edge=EdgeConfig() if named("edge", "edge-") else None,
         live=LiveConfig() if named("live", "live-") else None,
-    )
-    if snapshot.get("shards"):
-        coord.enable_shards(snapshot["shards"]["n"])
+        scaleout=ScaleOutConfig(shards=shards["n"]) if shards else None,
+    ))
     coord.replayed_records = recover(coord, store)
     return coord
 

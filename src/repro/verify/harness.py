@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 from repro.cache.manager import CacheConfig
 from repro.clients import Client
 from repro.clients.workload import ChannelSurfer
-from repro.core import CalliopeCluster, ClusterConfig
+from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.core.replication import ReplicationManager
 from repro.edge import EdgeConfig
 from repro.errors import CalliopeError
@@ -32,6 +32,7 @@ from repro.live import ChannelSpec, LiveConfig, LiveSource
 from repro.media import MpegEncoder, packetize_cbr
 from repro.multicast import MulticastConfig
 from repro.net import messages as m
+from repro.scaleout import ScaleOutConfig
 from repro.sim import Simulator
 from repro.storage import SMALL_PAGES
 from repro.units import MPEG1_RATE
@@ -147,8 +148,6 @@ class ChaosCluster:
             )
         scaleout = None
         if self.chaos_config.n_shards > 1 or self.chaos_config.standby:
-            from repro.scaleout import ScaleOutConfig
-
             scaleout = ScaleOutConfig(
                 shards=self.chaos_config.n_shards,
                 standby=self.chaos_config.standby,

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
+from repro.recovery import books_state, expected_books
 from repro.storage.check import check_filesystem
 
 __all__ = ["Violation", "InvariantRegistry", "builtin_registry"]
@@ -648,8 +649,6 @@ def check_recovery_reconciliation(cluster) -> List[str]:
     the books equal a from-scratch rebuild.  Trivially green without a
     recovery; after one it is exactly the state a restart must restore.
     """
-    from repro.recovery import books_state, expected_books
-
     coord = cluster.coordinator
     if getattr(coord, "dead", False):
         return ["coordinator left dead at drain"]

@@ -26,12 +26,14 @@ import pathlib
 import sys
 from typing import List, Tuple
 
+from repro.core.cluster import ClusterConfig, build_coordinator
 from repro.core.coordinator import Coordinator
 from repro.edge import EdgeConfig
 from repro.failover import FailoverConfig
 from repro.live import LiveConfig
 from repro.multicast import MulticastConfig
 from repro.recovery import JournalStore, recover, snapshot_state
+from repro.scaleout import ScaleOutConfig
 from repro.sim import Simulator
 from repro.verify import ChaosConfig, ChaosSchedule
 from repro.verify.faults import FAULT_KINDS, FaultOp
@@ -55,12 +57,10 @@ KINDS = {
 
 def fresh_coordinator() -> Coordinator:
     """A cold-started replacement with every subsystem the journal names."""
-    coord = Coordinator(
-        Simulator(), failover=FailoverConfig(), multicast=MulticastConfig(),
-        edge=EdgeConfig(), live=LiveConfig(),
-    )
-    coord.enable_shards(2)
-    return coord
+    return build_coordinator(Simulator(), ClusterConfig(
+        failover=FailoverConfig(), multicast=MulticastConfig(),
+        edge=EdgeConfig(), live=LiveConfig(), scaleout=ScaleOutConfig(shards=2),
+    ))
 
 
 def run_to_crash() -> Tuple[JournalStore, List[dict]]:

@@ -15,10 +15,11 @@ import inspect
 
 import pytest
 
-from repro.core.admission import Allocation
+from repro.core.admission import Allocation, StreamMeta
+from repro.core.cluster import ClusterConfig, build_coordinator
 from repro.core.coordinator import Coordinator, GroupRecord
 from repro.edge import EdgeConfig
-from repro.failover import FailoverConfig, StreamMeta
+from repro.failover import FailoverConfig
 from repro.live import LiveConfig
 from repro.multicast import ChannelManager, MulticastConfig
 from repro.net import messages as m
@@ -45,10 +46,10 @@ CORE = {kind for kind, owner in OWNERS.items() if owner == "core"}
 
 
 def all_on(sim):
-    return Coordinator(
-        sim, failover=FailoverConfig(), multicast=MulticastConfig(),
+    return build_coordinator(sim, ClusterConfig(
+        failover=FailoverConfig(), multicast=MulticastConfig(),
         edge=EdgeConfig(), live=LiveConfig(),
-    )
+    ))
 
 
 def owner_of(coord, handler):

@@ -126,7 +126,7 @@ def _live_scenario() -> tuple:
         "news", "mpeg1", "feed0", start_at=0.5, duration_seconds=10.0
     )
     sim = Simulator()
-    from repro.core import CalliopeCluster, ClusterConfig
+    from repro.core.cluster import CalliopeCluster, ClusterConfig
     from tests.helpers import SMALL
 
     cluster = CalliopeCluster(

@@ -8,7 +8,7 @@ in ``Coordinator._play`` — the only route to the *prefix* serve lane
 
 import pytest
 
-from repro.core import CalliopeCluster, ClusterConfig
+from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.core.coordinator import Coordinator
 from repro.core.replication import ReplicationManager
 from repro.edge import EdgeConfig

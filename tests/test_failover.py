@@ -2,16 +2,16 @@
 
 from types import SimpleNamespace
 
-from repro.core.admission import AdmissionControl
+from repro.core.admission import (
+    PRIORITY_NORMAL,
+    PRIORITY_SINGLE_COPY,
+    AdmissionControl,
+    play_priority,
+)
 from repro.core.coordinator import Coordinator
 from repro.core.database import AdminDatabase, ContentEntry
 from repro.core.replication import ReplicationManager
-from repro.failover import (
-    PRIORITY_NORMAL,
-    PRIORITY_SINGLE_COPY,
-    HeartbeatMonitor,
-    play_priority,
-)
+from repro.failover import HeartbeatMonitor
 from repro.multicast import MulticastConfig
 from repro.net import messages as m
 from repro.sim import Simulator

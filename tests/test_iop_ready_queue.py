@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.clients import Client
-from repro.core import CalliopeCluster, ClusterConfig
+from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.core.msu.network_process import NetworkProcess
 from repro.core.msu.streams import StreamState
 from repro.experiments.graph1 import run_graph1

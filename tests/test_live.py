@@ -12,7 +12,7 @@ and both Coordinator and MSU failures leave clean books behind.
 import pytest
 
 from repro.clients import Client
-from repro.core import CalliopeCluster, ClusterConfig
+from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.errors import CalliopeError, StorageError
 from repro.failover import FailoverConfig
 from repro.live import ChannelSpec, LiveConfig, LiveSource

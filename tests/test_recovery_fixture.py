@@ -14,12 +14,14 @@ restart rebuilds from an existing journal fails here.
 import json
 import pathlib
 
+from repro.core.cluster import ClusterConfig, build_coordinator
 from repro.core.coordinator import Coordinator
 from repro.edge import EdgeConfig
 from repro.failover import FailoverConfig
 from repro.live import LiveConfig
 from repro.multicast import MulticastConfig
 from repro.recovery import JournalStore, recover, snapshot_state
+from repro.scaleout import ScaleOutConfig
 from repro.sim import Simulator
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "recovery_v1"
@@ -30,12 +32,10 @@ def _load_journal() -> JournalStore:
 
 
 def _cold_coordinator() -> Coordinator:
-    coord = Coordinator(
-        Simulator(), failover=FailoverConfig(), multicast=MulticastConfig(),
-        edge=EdgeConfig(), live=LiveConfig(),
-    )
-    coord.enable_shards(2)
-    return coord
+    return build_coordinator(Simulator(), ClusterConfig(
+        failover=FailoverConfig(), multicast=MulticastConfig(),
+        edge=EdgeConfig(), live=LiveConfig(), scaleout=ScaleOutConfig(shards=2),
+    ))
 
 
 def test_fixture_is_a_mid_run_v1_journal():

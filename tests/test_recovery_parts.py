@@ -13,6 +13,7 @@ import pathlib
 import pytest
 
 from repro.core.admission import Allocation
+from repro.core.cluster import ClusterConfig, build_coordinator
 from repro.core.coordinator import Coordinator
 from repro.core.database import ContentEntry
 from repro.core.sessions import GroupRecord
@@ -30,6 +31,7 @@ from repro.recovery import (
 )
 from repro.recovery.reconcile import books_state
 from repro.recovery.parts import Part, from_image, image
+from repro.scaleout import ScaleOutConfig
 from repro.sim import Simulator
 from repro.tools import cli
 
@@ -39,12 +41,10 @@ FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "recovery_v1"
 
 
 def _all_on() -> Coordinator:
-    coord = Coordinator(
-        Simulator(), failover=FailoverConfig(), multicast=MulticastConfig(),
-        edge=EdgeConfig(), live=LiveConfig(),
-    )
-    coord.enable_shards(2)
-    return coord
+    return build_coordinator(Simulator(), ClusterConfig(
+        failover=FailoverConfig(), multicast=MulticastConfig(),
+        edge=EdgeConfig(), live=LiveConfig(), scaleout=ScaleOutConfig(shards=2),
+    ))
 
 
 def _dump(coord: Coordinator) -> str:

@@ -381,7 +381,7 @@ class TestShardedCluster:
         state = snapshot_state(coord)
         assert state["shards"] == coord.shards.state()
         clone = Coordinator(Simulator())
-        clone.enable_shards(2)
+        clone.enable_shards(ShardSet(clone.db, 2))
         restore_state(clone, state)
         assert clone.shards.state() == coord.shards.state()
 
