@@ -129,7 +129,8 @@ class MsuMulticast(MsuPart):
             # when their audience is gone.
             msu = self.msu
             self.channels.pop(ch.channel_id, None)
-            msu.live_part.forget(ch.channel_id)
+            if msu.live_part is not None:
+                msu.live_part.forget(ch.channel_id)
             msu._stop_stream(ch.stream)
             msu.groups.pop(ch.group.group_id, None)
             msu._stream_group.pop(ch.stream.stream_id, None)
@@ -143,7 +144,8 @@ class MsuMulticast(MsuPart):
         """The channel played its file to the end: finish every viewer."""
         msu = self.msu
         ch = self.channels.pop(stream.channel_id, None)
-        msu.live_part.forget(stream.channel_id)
+        if msu.live_part is not None:
+            msu.live_part.forget(stream.channel_id)
         if ch is None:
             return
         msu.groups.pop(ch.group.group_id, None)

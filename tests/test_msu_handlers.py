@@ -18,6 +18,7 @@ from repro.core.cluster import ClusterConfig, msu_parts
 from repro.core.msu.msu import Msu
 from repro.core.msu.parts import MsuPart
 from repro.hardware.params import MachineParams
+from repro.multicast.msu_side import MsuMulticast
 from repro.media import MpegEncoder, packetize_cbr
 from repro.net import messages as m
 from repro.net.network import ControlChannel, Network
@@ -208,3 +209,50 @@ class TestParts:
         assert part.calls == [
             "attached", "deleted:movie", "halt:hang", "halt:reboot",
         ]
+
+
+class TestMulticastOnly:
+    """An MSU built with the multicast part alone (no live part)."""
+
+    def open_channel(self, sim):
+        msu = Msu(
+            sim, "m0", Network(sim, "delivery"),
+            machine_params=MachineParams(name="m0", disks_per_hba=(2,)),
+            ibtree_config=SMALL_PAGES, parts=[MsuMulticast],
+        )
+        disk = msu.disk_ids()[0]
+        packets = packetize_cbr(MpegEncoder(seed=1).bitstream(1.0), MPEG1_RATE, 1024)
+        msu.admin_load(disk, "movie", "mpeg1", packets)
+        channel = ControlChannel(sim, "coord", "m0")
+        msu.attach_coordinator(channel)
+        ended = []
+
+        def coordinator():
+            while True:
+                msg = yield channel.recv("coord")
+                if isinstance(msg, m.StreamTerminated):
+                    ended.append((msg.group_id, msg.reason))
+
+        sim.process(coordinator(), name="coord")
+        channel.send("coord", m.ChannelCreate(
+            1, 10, 100, "movie", disk, "raw", MPEG1_RATE, False, ("mcast0", 7000),
+        ))
+        channel.send("coord", m.ChannelSubscribe(1, 11, 101, "client", ("client", 5000)))
+        sim.run(until=0.2)
+        assert msu.live_part is None and sorted(msu.channels) == [1]
+        return msu, ended
+
+    def test_a_channel_plays_to_its_end(self):
+        sim = Simulator()
+        msu, ended = self.open_channel(sim)
+        sim.run(until=3.0)
+        assert msu.channels == {}
+        assert ended == [(11, "end-of-stream"), (10, "channel-complete")]
+
+    def test_the_last_viewer_leaving_closes_the_channel(self):
+        sim = Simulator()
+        msu, ended = self.open_channel(sim)
+        msu._quit_group(msu.groups[11])
+        sim.run(until=0.5)
+        assert msu.channels == {}
+        assert ended == [(10, "channel-idle"), (11, "quit")]
