@@ -151,13 +151,14 @@ class DiskProcess:
                     except OutOfSpaceError:
                         # One stream's exhausted space must not kill the
                         # whole disk's duty cycle: truncate that recording
-                        # and let the normal drain path close it out.
+                        # and close it out on the drain path below, now,
+                        # since nothing else would wake this loop for it.
                         stream.abort()
-                        continue
-                    self.pages_written += 1
-                    did_work = True
-                    if self.on_page_written is not None:
-                        self.on_page_written(stream)
+                    else:
+                        self.pages_written += 1
+                        did_work = True
+                        if self.on_page_written is not None:
+                            self.on_page_written(stream)
                 if stream.drained and not stream.finished:
                     stream.finished = True
                     stream.commit_root()

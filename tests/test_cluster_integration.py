@@ -11,7 +11,9 @@ from repro.net.rtp import RtpHeader
 from repro.net.vat import VatHeader
 from repro.sim import Simulator
 from repro.storage import SMALL_PAGES
+from repro.storage.ibtree import IBTreeReader
 from repro.units import MPEG1_RATE
+from repro.verify.invariants import builtin_registry
 
 PACKET = 1024
 
@@ -257,6 +259,47 @@ class TestRecording:
         assert fs.allocator.reserved_blocks == 0
         # The recording used far fewer blocks than the 120 s estimate.
         assert fs.open("tiny").nblocks <= 2
+
+    def test_a_recording_that_outruns_its_reservation_ends_short(self):
+        """The disk process truncates a recording whose space ran out: the
+        pages already on disk read back, the root is withheld, the stream
+        ends while its source still sends, and the books balance."""
+        sim, cluster = build()
+        client = Client(sim, cluster, "c0")
+        source = [(i * 20_000, bytes([i % 256]) * 4096) for i in range(300)]
+        ends = {}
+
+        def scenario():
+            yield from client.open_session("user")
+            yield from client.register_port("cam", "mpeg1")
+            rec = yield from client.record("long", "mpeg1", "cam", 1.0)
+            yield from client.wait_ready(rec)
+            feed = sim.process(client.send_stream(
+                "cam", rec.record_addresses()["long"], source))
+            yield from client.wait_done(rec)
+            ends["recording"] = sim.now
+            yield feed
+            ends["source"] = sim.now
+
+        drive(sim, scenario())
+        assert ends["recording"] < ends["source"] - 3.0
+        coord = cluster.coordinator
+        entry = coord.db.content("long")
+        fs = cluster.msus[0].filesystems[entry.disk_id]
+        handle = fs.open("long")
+        assert handle.root is None
+        reserved = coord.admission.estimate_blocks(coord.types.get("mpeg1"), 1.0)
+        assert entry.blocks == handle.nblocks == reserved
+        stored = [
+            record.payload
+            for b in range(handle.nblocks)
+            for record in IBTreeReader.parse_page(fs.read_block_sync(handle, b))
+        ]
+        assert stored == [payload for _t, payload in source[:len(stored)]]
+        assert fs.allocator.reserved_blocks == 0
+        assert coord.db.msus["msu0"].disks[entry.disk_id].free_blocks == (
+            fs.allocator.free_blocks)
+        assert builtin_registry().check(cluster, "drain") == []
 
     def test_composite_seminar_record_and_group_replay(self):
         sim, cluster = build()
