@@ -19,6 +19,7 @@ from repro.live import ChannelSpec, LiveConfig, LiveSource
 from repro.net import messages as m
 from repro.sim import Simulator
 from repro.verify import builtin_registry
+from repro.verify.invariants import check_live_drain
 
 from tests.helpers import FAST, SMALL, make_packets, open_client
 
@@ -111,6 +112,33 @@ class TestChannelLifecycle:
             ].read_block_sync(live.handle, 0)
         sim.run(until=20.0)
         assert msu.live == {}
+        assert_drained(cluster)
+
+    def test_slot_overrun_is_forced_off_the_air(self):
+        """A broadcaster still sending past its slot and the off-air grace
+        gets a LiveStop: the ingest drains, the ring's blocks come back
+        and the drain invariants hold while the feed is still running."""
+        spec = ChannelSpec("news", "mpeg1", "feed0", start_at=0.5,
+                           duration_seconds=4.0)
+        sim, cluster, sources = build_live([spec], ring_seconds=2.0,
+                                           off_air_grace=2.0)
+        source = sources["feed0"]
+        source.add_feed("news", make_packets(12.0, seed=3))
+        msu = cluster.msus[0]
+        before = {disk: fs.allocator.free_blocks
+                  for disk, fs in msu.filesystems.items()}
+        sim.run(until=6.4)  # slot + grace end at 6.5 s
+        assert len(msu.live) == 1
+        sim.run(until=7.5)
+        assert source.broadcasts_finished == 0  # still sending
+        mgr = cluster.coordinator.live_manager
+        assert (mgr.channels_opened, mgr.channels_closed) == (1, 1)
+        assert mgr.channels == {} and msu.live == {} and msu.channels == {}
+        assert not any(proc.record_streams for proc in msu.disk_processes.values())
+        for disk, fs in msu.filesystems.items():
+            assert not fs.exists("news")
+            assert fs.allocator.free_blocks == before[disk]
+        assert check_live_drain(cluster) == []
         assert_drained(cluster)
 
     def test_dvr_channel_becomes_vod_after_signoff(self):
