@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.coordinator import Coordinator
 from repro.errors import CalliopeError, ContentInUseError
+from repro.live import ChannelSpec
 from repro.recovery import (
     JournalStore,
     books_state,
@@ -27,8 +28,12 @@ from repro.recovery import (
 )
 from repro.sim import Simulator
 from repro.units import MPEG1_RATE
+from repro.verify import builtin_registry
 
-from tests.helpers import build_cluster, open_client, start_viewer
+from tests.helpers import (
+    MCAST, build_cluster, open_client, start_viewer, start_viewers_together,
+)
+from tests.test_live import build_live
 
 
 class TestJournalStore:
@@ -362,3 +367,81 @@ class TestReplayIdempotence:
         assert standby.sync() == 0
         after = json.dumps(books_state(standby.shadow), sort_keys=True)
         assert after == before
+
+
+class TestLostJournalTail:
+    """The journal's tail is lost from the channel-open record on, so the
+    restarted Coordinator meets a channel an MSU runs that it never saw.
+
+    Reconcile adopts the channel MSU-wins; the invariants hold, the books
+    equal the ones rebuilt from every part's held allocations, and the
+    adopted channel runs to its end and settles cleanly.
+    """
+
+    @staticmethod
+    def lose_tail_and_restart(sim, cluster, kind):
+        cluster.crash_coordinator()
+        records = cluster.journal.records
+        cut = [r.kind for r in records].index(kind)
+        del records[cut:]
+        sim.run(until=sim.now + 0.5)
+        cluster.restart_coordinator()
+        sim.run(until=sim.now + 1.5)
+        coord = cluster.coordinator
+        assert builtin_registry().check(cluster, "mid") == []
+        assert (
+            json.dumps(books_state(coord), sort_keys=True)
+            == json.dumps(expected_books(coord), sort_keys=True)
+        )
+        return coord.last_recovery
+
+    def test_multicast_channel_is_adopted(self):
+        sim, cluster, _ = build_cluster(
+            n_msus=1, n_titles=1, length=10.0, multicast=MCAST, run_to=0.3
+        )
+        clients = [open_client(sim, cluster, name=f"c{i}") for i in range(2)]
+        views = start_viewers_together(
+            sim, [(client, "title0", "tv") for client in clients]
+        )
+        sim.run(until=sim.now + 1.0)
+        outcome = self.lose_tail_and_restart(sim, cluster, "mcast-open")
+        assert outcome.channels_adopted == 1
+        assert outcome.discrepancies == ["msu0: unknown channel 1 ('title0'); adopted"]
+        manager = cluster.coordinator.channel_manager
+        (record,) = manager.channels.values()
+        assert sorted(record.subscribers) == sorted(v.group_id for v in views)
+        sim.run(until=30.0)
+        assert manager.channels == {}
+        assert all(view.done_event.triggered for view in views)
+        assert builtin_registry().check(cluster, "drain") == []
+
+    def test_live_channel_is_adopted(self):
+        spec = ChannelSpec("news", "mpeg1", "feed0", start_at=0.5,
+                           duration_seconds=6.0)
+        sim, cluster, _ = build_live([spec], ring_seconds=3.0)
+        client = open_client(sim, cluster)
+
+        def tune():
+            yield from client.register_port("tv", "mpeg1")
+            yield sim.timeout(1.5)
+            view = yield from client.play("news", "tv")
+            yield from client.wait_ready(view)
+            return view
+
+        view = sim.run_until_event(sim.process(tune()), limit=10.0)
+        sim.run(until=3.0)
+        outcome = self.lose_tail_and_restart(sim, cluster, "live-open")
+        assert outcome.channels_adopted == 1
+        assert outcome.discrepancies == [
+            "msu0: unknown live channel 1048577 ('news'); adopted"
+        ]
+        manager = cluster.coordinator.live_manager
+        (record,) = manager.channels.values()
+        assert list(record.subscribers) == [view.group_id]
+        assert not record.ingest_done
+        sim.run(until=30.0)
+        assert manager.channels == {}
+        assert view.done_event.triggered
+        msu = cluster.msus[0]
+        assert not any(fs.exists("news") for fs in msu.filesystems.values())
+        assert builtin_registry().check(cluster, "drain") == []
