@@ -5,6 +5,8 @@ plans that first exposed real cross-subsystem bugs (see DESIGN.md §9);
 each must stay green forever.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.tools import cli
@@ -20,6 +22,9 @@ from repro.verify import (
     write_repro,
 )
 from repro.verify.faults import FAULT_KINDS, FaultOp
+from repro.verify.invariants import check_admission_conservation
+
+from tests.helpers import build_cluster, open_client, start_viewer
 
 
 def plan(seed, ops, horizon=20.0):
@@ -104,6 +109,38 @@ class TestInvariantRegistry:
         violations = registry.check(_fake_cluster(), phase="mid")
         assert len(violations) == 1
         assert "checker blew up" in violations[0].detail
+
+
+class TestConservationWhileStreaming:
+    """Exact conservation sums live allocations, not just empty books."""
+
+    def streaming(self):
+        sim, cluster, _ = build_cluster(n_msus=2, n_titles=2, run_to=0.3)
+        client = open_client(sim, cluster)
+        views = [start_viewer(sim, client, f"title{t}", f"v{t}") for t in range(2)]
+        sim.run(until=sim.now + 1.0)  # quiescent: no request in flight
+        return cluster, views
+
+    def test_holds_with_streams_playing(self):
+        cluster, views = self.streaming()
+        coord = cluster.coordinator
+        assert all(coord.groups[view.group_id].allocations for view in views)
+        assert sum(state.active_streams for state in coord.db.msus.values()) == 2
+        assert check_admission_conservation(cluster) == []
+
+    def test_a_bumped_charge_breaks_it(self):
+        cluster, views = self.streaming()
+        allocations = cluster.coordinator.groups[views[0].group_id].allocations
+        (stream_id, alloc), = allocations.items()
+        allocations[stream_id] = dataclasses.replace(
+            alloc, bandwidth=alloc.bandwidth + 1000.0
+        )
+        problems = check_admission_conservation(cluster)
+        assert [p.split(":")[0] for p in problems] == [
+            alloc.msu_name, f"{alloc.msu_name}/{alloc.disk_id}",
+        ]
+        assert "delivery_used" in problems[0]
+        assert "bandwidth_used" in problems[1]
 
 
 @pytest.mark.integration
