@@ -127,7 +127,7 @@ class DiskProcess:
                     self.pages_from_cache += 1
                     delay = self.cache.copy_time(len(buf))
                     if delay > 0:
-                        yield self.sim.sleep(delay)
+                        yield self.sim.timeout(delay)
                 else:
                     buf = yield from self.fs.read_file_block(
                         stream.handle, page_index

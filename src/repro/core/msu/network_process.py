@@ -250,7 +250,7 @@ class NetworkProcess:
                 if due is None or due[0] > self.sim.now + 1e-9:
                     break
                 deadline, _position, stream, record = due
-                yield self.sim.sleep(MSU_PACKET_OVERHEAD)
+                yield self.sim.timeout(MSU_PACKET_OVERHEAD)
                 destination = stream.display_address
                 if (
                     record.kind == KIND_CONTROL

@@ -37,7 +37,7 @@ class SystemTimer:
         """Sleep until the first tick at or after ``t`` (no-op if past)."""
         target = self.next_tick_at_or_after(t)
         if target > self.sim.now:
-            yield self.sim.sleep(target - self.sim.now)
+            yield self.sim.timeout(target - self.sim.now)
 
     def sleep(self, duration: float) -> Generator:
         """Sleep at least ``duration`` seconds, waking on a tick."""

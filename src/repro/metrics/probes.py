@@ -61,7 +61,7 @@ class CounterProbe:
         last_time = self.sim.now
         last_value = float(self.counter())
         while True:
-            yield self.sim.sleep(self.period)
+            yield self.sim.timeout(self.period)
             value = float(self.counter())
             self._starts.append(last_time)
             self._ends.append(self.sim.now)

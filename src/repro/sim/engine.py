@@ -43,9 +43,6 @@ __all__ = [
     "Simulator",
 ]
 
-#: Fired pooled timeouts kept for reuse, per simulator.
-_TIMEOUT_POOL_MAX = 256
-
 _INF = float("inf")
 
 Entry = Tuple[float, int, Callable, tuple]
@@ -205,15 +202,9 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` seconds after creation.
+    """An event that fires ``delay`` seconds after creation."""
 
-    A timeout obtained from :meth:`Simulator.sleep` is *pooled*: after its
-    callbacks run it is scrubbed and recycled, so steady-state pacing loops
-    do not allocate a fresh event per wakeup.  Pooled timeouts must be
-    yielded and forgotten — never stored across the yield.
-    """
-
-    __slots__ = ("_pooled",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
@@ -226,26 +217,8 @@ class Timeout(Event):
         self._triggered = True
         self._late = None
         self.name = ""
-        self._pooled = False
         sim._seq += 1
         sim._sched.push(sim.now + delay, sim._seq, self._fire, ())
-
-    def _fire(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        if callbacks:
-            for fn in callbacks:
-                fn(self)
-        if self._pooled and self._late is None:
-            # (a pending late batch means someone re-registered on us while
-            # we fired — leave this instance to deliver it, don't recycle)
-            pool = self.sim._timeout_pool
-            if len(pool) < _TIMEOUT_POOL_MAX:
-                self._pooled = False
-                self._triggered = False
-                self._value = None
-                self._exc = None
-                self.callbacks = []
-                pool.append(self)
 
 
 class _Join(Event):
@@ -449,7 +422,6 @@ class Simulator:
         #: Total queue entries executed (the repo benchmark's events per
         #: unit of work are read off this counter).
         self.events_executed = 0
-        self._timeout_pool: List[Timeout] = []
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -487,27 +459,6 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event firing after ``delay`` seconds."""
         return Timeout(self, delay, value)
-
-    def sleep(self, delay: float, value: Any = None) -> Timeout:
-        """A pooled :meth:`timeout`: recycled after it fires.
-
-        The allocation-free fast path for pacing loops.  The returned
-        timeout must be yielded (or given callbacks) immediately and never
-        stored: once fired it is scrubbed and reused.
-        """
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative timeout delay: {delay}")
-            t = pool.pop()
-            t._pooled = True
-            t._triggered = True
-            t._value = value
-            self._post(t, delay)
-            return t
-        t = Timeout(self, delay, value)
-        t._pooled = True
-        return t
 
     def process(self, gen: Generator, name: str = "") -> Process:
         """Spawn ``gen`` as a simulated process starting now."""
@@ -573,11 +524,23 @@ class Simulator:
         entry scheduled *exactly at* ``limit`` still runs: the limit bounds
         simulation time, it does not exclude its own instant.
         """
+        sched = self._sched
+        pop_due = sched.pop_due
+        bound = _INF if limit is None else limit
+        # step() inlined, as in run(): one scheduler call per event; a
+        # non-empty queue with nothing due means the limit was hit.
         while not event.triggered or event.callbacks is not None:
-            next_time = self._sched.next_time()
-            if next_time == float("inf"):
+            entry = pop_due(bound)
+            if entry is None:
+                if sched:
+                    raise RuntimeError(f"exceeded limit={limit} waiting for {event!r}")
                 raise RuntimeError(f"simulation deadlocked waiting for {event!r}")
-            if limit is not None and next_time > limit:
-                raise RuntimeError(f"exceeded limit={limit} waiting for {event!r}")
-            self.step()
+            time, seq, fn, args = entry
+            if time < self.now:
+                raise RuntimeError("time ran backwards")
+            if self.trace is not None:
+                self.trace(time, seq, fn, args)
+            self.now = time
+            self.events_executed += 1
+            fn(*args)
         return event.value

@@ -203,14 +203,12 @@ def _run_workload(actions) -> tuple:
 
     def leaf(n):
         for i in range(n):
-            yield sim.sleep(0.05 * (i + 1))
+            yield sim.timeout(0.05 * (i + 1))
             log.append(("leaf", n, i, sim.now))
 
     def driver():
         for i, (op, arg) in enumerate(actions):
-            if op == "sleep":
-                yield sim.sleep(arg)
-            elif op == "timeout":
+            if op in ("sleep", "timeout"):
                 yield sim.timeout(arg)
             elif op == "spawn":
                 spawned.append(sim.process(leaf(arg + 1), name=f"leaf{i}"))

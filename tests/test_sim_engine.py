@@ -95,6 +95,17 @@ class TestTimeout:
 
         assert run_process(sim, proc()) == "hello"
 
+    def test_pacing_loop_wakes_after_each_delay(self, sim):
+        log = []
+
+        def pacer():
+            for i in range(5):
+                log.append(((yield sim.timeout(0.25, value=i)), sim.now))
+
+        sim.process(pacer())
+        sim.run()
+        assert log == [(i, 0.25 * (i + 1)) for i in range(5)]
+
 
 class TestProcess:
     def test_sequential_timeouts_advance_clock(self, sim):
@@ -437,67 +448,3 @@ class TestRunUntilEventEdges:
         sim.run()
         assert log == ["woke", "interrupted", ("re-value", "v", 0.5)]
         assert ev._late is None  # the late batch fully drained
-
-
-class TestPooledSleep:
-    def test_sleep_behaves_like_timeout(self, sim):
-        log = []
-
-        def pacer():
-            for i in range(5):
-                yield sim.sleep(0.25, value=i)
-                log.append((i, sim.now))
-
-        sim.process(pacer())
-        sim.run()
-        assert log == [(i, 0.25 * (i + 1)) for i in range(5)]
-
-    def test_sleep_value_passthrough(self, sim):
-        values = []
-
-        def proc():
-            values.append((yield sim.sleep(0.1, value="tick")))
-
-        sim.process(proc())
-        sim.run()
-        assert values == ["tick"]
-
-    def test_sleep_recycles_instances(self, sim):
-        """Steady-state sleeping reuses pooled timeouts, not fresh objects."""
-        seen = set()
-
-        def pacer():
-            for _ in range(10):
-                t = sim.sleep(0.1)
-                seen.add(id(t))
-                yield t
-
-        sim.process(pacer())
-        sim.run()
-        # After the first wakeup the pool serves every later sleep.
-        assert len(seen) < 10
-
-    def test_sleep_negative_rejected(self, sim):
-        with pytest.raises(ValueError):
-            sim.sleep(-0.1)
-
-        def one_sleep():
-            yield sim.sleep(0.1)
-
-        # Also on the pooled fast path (a timeout is in the pool now).
-        run_process(sim, one_sleep())
-        with pytest.raises(ValueError):
-            sim.sleep(-0.1)
-
-    def test_late_registration_on_firing_pooled_timeout_not_lost(self, sim):
-        """A callback registered on a pooled timeout *while it fires* must
-        still be delivered (the instance is left un-recycled for it)."""
-        got = []
-        t = sim.sleep(1.0, value="v")
-
-        def re_register(event):
-            event.add_callback(lambda e: got.append(("late", e.value)))
-
-        t.add_callback(re_register)
-        sim.run()
-        assert got == [("late", "v")]
