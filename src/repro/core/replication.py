@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
+from repro.core.admission import live_locations
 from repro.core.database import ContentEntry, DiskState
 from repro.errors import CalliopeError, OutOfSpaceError
 
@@ -58,16 +59,6 @@ class ReplicationManager:
 
     # -- policy ----------------------------------------------------------
 
-    def _live_locations(self, entry: ContentEntry) -> List[Tuple[str, str]]:
-        """The entry's copies hosted on MSUs currently marked up."""
-        db = self.cluster.coordinator.db
-        live = []
-        for msu_name, disk_id in entry.locations():
-            state = db.msus.get(msu_name)
-            if state is not None and state.available:
-                live.append((msu_name, disk_id))
-        return live
-
     def _hot_entries(self) -> List[ContentEntry]:
         # Demand counts every request, including queued/blocked ones: the
         # titles admission turned away are exactly the ones replication
@@ -81,7 +72,7 @@ class ReplicationManager:
             if not entry.components
             and entry.msu_name
             and entry.demand >= self.hot_play_count
-            and len(self._live_locations(entry)) <= self.max_replicas
+            and len(live_locations(db, entry)) <= self.max_replicas
         ]
         return sorted(hot, key=lambda e: e.demand, reverse=True)
 
@@ -132,7 +123,7 @@ class ReplicationManager:
         # Copy from a live location when one exists (the primary may be
         # the machine that just failed); fall back to the primary's disks,
         # which survive a crash intact.
-        live = self._live_locations(entry)
+        live = live_locations(db, entry)
         source_loc = live[0] if live else (entry.msu_name, entry.disk_id)
         source_msu = self.cluster.msu_named(source_loc[0])
         target_msu = self.cluster.msu_named(msu_name)
@@ -187,7 +178,7 @@ class ReplicationManager:
             entry = db.contents.get(name)
             if entry is None or entry.components:
                 continue
-            live = self._live_locations(entry)
+            live = live_locations(db, entry)
             if not live or len(live) >= self.restore_copies:
                 continue
             target = self._pick_target(entry)

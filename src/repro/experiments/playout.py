@@ -16,7 +16,7 @@ no longer hide the server's lateness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.clients.playback import PlayoutBuffer
 from repro.experiments import Experiment, headline

@@ -1,7 +1,5 @@
 """End-to-end integration: the full Figure 1 system in motion."""
 
-import pytest
-
 from repro.clients import Client
 from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.media import MpegEncoder, NvEncoder, VatEncoder, packetize_cbr

@@ -6,6 +6,7 @@ from repro.core.admission import (
     PRIORITY_NORMAL,
     PRIORITY_SINGLE_COPY,
     AdmissionControl,
+    live_locations,
     play_priority,
 )
 from repro.core.coordinator import Coordinator
@@ -415,13 +416,13 @@ class TestReplicaRestoration:
         entry = coord.db.content("movie")
         entry.request_count = 10
         # Both copies live: at max_replicas, not hot-listed.
-        assert len(manager._live_locations(entry)) == 2
+        assert len(live_locations(coord.db, entry)) == 2
         assert entry not in manager._hot_entries()
 
         cluster.fail_msu(0)
         sim.run(until=sim.now + 0.1)
         # The dead copy stops counting; the title is eligible again.
-        assert manager._live_locations(entry) == [
+        assert live_locations(coord.db, entry) == [
             ("msu1", cluster.msus[1].disk_ids()[0])
         ]
         assert entry in manager._hot_entries()
@@ -430,7 +431,7 @@ class TestReplicaRestoration:
         assert len(made) == 1
         assert made[0].source[0] == "msu1"  # copied from the live replica
         assert made[0].target[0] == "msu2"
-        assert len(manager._live_locations(entry)) == 2
+        assert len(live_locations(coord.db, entry)) == 2
 
     def test_watch_restores_replicas_on_failure(self):
         sim, cluster, packets = build(n_msus=3)
@@ -442,7 +443,7 @@ class TestReplicaRestoration:
         cluster.hang_msu(0)
         sim.run(until=sim.now + FAST.detection_latency + 0.3)
         entry = cluster.coordinator.db.content("movie")
-        assert len(manager._live_locations(entry)) == 2
+        assert len(live_locations(cluster.coordinator.db, entry)) == 2
         assert any(d.target[0] == "msu2" for d in manager.decisions)
 
 

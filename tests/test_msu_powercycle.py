@@ -1,7 +1,5 @@
 """Full power cycle: sync metadata, crash, remount, replay from disk."""
 
-import pytest
-
 from repro.clients import Client
 from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.media import MpegEncoder, packetize_cbr

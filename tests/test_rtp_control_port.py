@@ -7,8 +7,6 @@ records demultiplex back onto the display port's control socket
 (data port + 1), while data stays on the data socket.
 """
 
-import pytest
-
 from repro.clients import Client
 from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.net.rtp import RtpHeader

@@ -1,7 +1,5 @@
 """The striped-MSU alternative (§2.3.3) running in the full system."""
 
-import pytest
-
 from repro.clients import Client
 from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.media import MpegEncoder, packetize_cbr

@@ -1,7 +1,5 @@
 """Structured tracing: the server's event log."""
 
-import pytest
-
 from repro.clients import Client
 from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.media import MpegEncoder, packetize_cbr
