@@ -64,10 +64,6 @@ class CacheSnapshot:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    @property
-    def occupancy(self) -> float:
-        return self.pool_used / self.pool_capacity if self.pool_capacity else 0.0
-
 
 class MsuPageCache:
     """Interval + prefix caching behind one bounded pool."""

@@ -408,19 +408,6 @@ class Client:
             if view.channel is not None:
                 self.quit(view.group_id)
 
-    def play_nowait(self, content_name: str, port_name: str) -> None:
-        """Fire a play request without awaiting the reply (open loop).
-
-        Queued requests get no immediate answer from the Coordinator
-        (§2.2), so closed-loop callers block; open-loop load generators
-        use this and leave replies in the channel mailbox.
-        """
-        self.channel.send(
-            self.name,
-            m.PlayRequest(self.session_id, content_name, port_name),
-            nbytes=m.WIRE_BYTES,
-        )
-
     def record(
         self,
         content_name: str,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-__all__ = ["PlayoutBuffer", "PlayoutReport", "resume_gap", "splice_flows"]
+__all__ = ["PlayoutBuffer", "PlayoutReport", "splice_flows"]
 
 
 def splice_flows(
@@ -42,30 +42,6 @@ def splice_flows(
     patch_end = patch[-1][0]
     deferred = [(max(when, patch_end), nbytes) for when, nbytes in sorted(channel)]
     return sorted(patch + deferred)
-
-
-def resume_gap(
-    arrivals: List[Tuple[float, int]], fail_time: float
-) -> Tuple[float, bool]:
-    """The delivery blackout a failover caused on one display port.
-
-    Returns ``(gap_seconds, resumed)``: the interval between the last
-    packet at or before ``fail_time`` and the first packet after it.
-    ``resumed`` is False (gap infinite) when nothing ever arrived after
-    the failure — the stream was not migrated.
-    """
-    last_before = None
-    first_after = None
-    for when, _nbytes in arrivals:
-        if when <= fail_time:
-            if last_before is None or when > last_before:
-                last_before = when
-        elif first_after is None or when < first_after:
-            first_after = when
-    if first_after is None:
-        return float("inf"), False
-    start = last_before if last_before is not None else fail_time
-    return first_after - start, True
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from repro.experiments._support import (
     load_titles, population_fields, run_population,
 )
 from repro.metrics.probes import CounterProbe
-from repro.metrics.report import format_cache_summary
 from repro.sim import Simulator
 from repro.storage import SMALL_PAGES
 from repro.units import MIB
@@ -144,7 +143,17 @@ def format_cache(points: List[CachePoint]) -> str:
             f"{on.cache_admitted} admissions were cache-covered"
         )
     if on is not None and on.snapshot is not None:
-        for name, value in format_cache_summary(on.snapshot):
+        # How often a read slot was saved, how full the pool ran, and
+        # how many slots that saved in absolute terms.
+        snapshot = on.snapshot
+        for name, value in (
+            ("hit ratio (%)", snapshot.hit_ratio * 100.0),
+            ("pool occupancy peak (%)",
+             100.0 * snapshot.pool_peak / snapshot.pool_capacity
+             if snapshot.pool_capacity else 0.0),
+            ("disk slots saved", snapshot.slots_saved),
+            ("pinned prefix pages", snapshot.pinned_pages),
+        ):
             lines.append(f"  {name:<26} {value:>10.1f}")
         lines.append(f"  {'cache-served pages/sec':<26} {on.hit_rate_per_s:>10.1f}")
     lines.append(

@@ -28,15 +28,13 @@ Two scenarios on the same loaded cluster:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
-from repro.clients.playback import resume_gap
 from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.core.replication import ReplicationManager
 from repro.experiments import Experiment, headline
 from repro.experiments._support import load_titles, start_viewers
 from repro.failover import FailoverConfig, HeartbeatConfig
-from repro.metrics.report import format_failover_summary
 from repro.sim import Simulator
 from repro.storage import SMALL_PAGES
 
@@ -81,6 +79,30 @@ class FailoverPoint:
     served_after_recovery: int
     #: Seconds from the failure until every victim stream flowed again.
     time_to_full_capacity_s: float
+
+
+def _resume_gap(
+    arrivals: List[Tuple[float, int]], fail_time: float
+) -> Tuple[float, bool]:
+    """The delivery blackout a failover caused on one display port.
+
+    Returns ``(gap_seconds, resumed)``: the interval between the last
+    packet at or before ``fail_time`` and the first packet after it.
+    ``resumed`` is False (gap infinite) when nothing ever arrived after
+    the failure — the stream was not migrated.
+    """
+    last_before = None
+    first_after = None
+    for when, _nbytes in arrivals:
+        if when <= fail_time:
+            if last_before is None or when > last_before:
+                last_before = when
+        elif first_after is None or when < first_after:
+            first_after = when
+    if first_after is None:
+        return float("inf"), False
+    start = last_before if last_before is not None else fail_time
+    return first_after - start, True
 
 
 def _run_scenario(
@@ -145,7 +167,7 @@ def _run_scenario(
     resumed = 0
     resumed_within_budget = 0
     for port in victim_ports:
-        gap, came_back = resume_gap(
+        gap, came_back = _resume_gap(
             client.ports[port].stats.arrivals, fail_time + _INFLIGHT_DRAIN
         )
         if not came_back:
@@ -219,7 +241,20 @@ def format_failover(points: List[FailoverPoint]) -> str:
     for p in points:
         label = "replicated" if p.replicated else "single-copy"
         lines.append(f"-- {label} --")
-        for name, value in format_failover_summary(p):
+        # How many streams the failure touched, how many came back, how
+        # long viewers stared at a frozen frame, and how long until the
+        # cluster's full serving capacity was restored.
+        resumed_pct = (
+            100.0 * p.resumed / p.victim_streams if p.victim_streams else 0.0
+        )
+        for name, value in (
+            ("streams on victim", p.victim_streams),
+            ("resumed (%)", resumed_pct),
+            ("mean resume gap (s)", p.mean_resume_gap_s),
+            ("max resume gap (s)", p.max_resume_gap_s),
+            ("detection budget (s)", p.detection_budget_s),
+            ("time to full capacity (s)", p.time_to_full_capacity_s),
+        ):
             rendered = f"{value:>10.2f}" if value != float("inf") else "       inf"
             lines.append(f"  {name:<28} {rendered}")
     lines.append(

@@ -27,7 +27,6 @@ from repro.experiments import Experiment, headline
 from repro.experiments._support import (
     load_titles, population_fields, run_population,
 )
-from repro.metrics.report import format_multicast_summary
 from repro.multicast import MulticastConfig
 from repro.sim import Simulator
 from repro.storage import SMALL_PAGES
@@ -149,26 +148,17 @@ def format_multicast(points: List[MulticastPoint]) -> str:
             f"{on.multicast_copies} receiver copies"
         )
     if on is not None:
-
-        class _View:  # format_multicast_summary expects manager-like attrs
-            channels_created = on.channels_created
-            viewers_joined = on.viewers_joined
-            merges = on.merges
-            downgrades = on.downgrades
-
-            @staticmethod
-            def occupancy() -> float:
-                return on.channel_occupancy
-
-            @staticmethod
-            def patch_ratio() -> float:
-                return on.patch_ratio
-
-            @staticmethod
-            def slots_saved() -> int:
-                return on.slots_saved
-
-        for name, value in format_multicast_summary(_View):
+        # How many viewers each channel carried, what share of them
+        # needed a patch, and how many unicast slots channels saved.
+        for name, value in (
+            ("channels created", on.channels_created),
+            ("viewers joined", on.viewers_joined),
+            ("channel occupancy (viewers/channel)", on.channel_occupancy),
+            ("patch ratio (%)", on.patch_ratio * 100.0),
+            ("slots saved", on.slots_saved),
+            ("merges (patches drained)", on.merges),
+            ("downgrades to unicast", on.downgrades),
+        ):
             lines.append(f"  {name:<36} {value:>10.1f}")
         lines.append(
             f"  {'ledger outstanding after drain':<36} "

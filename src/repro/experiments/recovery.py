@@ -31,7 +31,6 @@ from typing import List, Sequence
 from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.experiments import Experiment, headline
 from repro.experiments._support import load_titles, start_viewers
-from repro.metrics.report import format_recovery_summary
 from repro.recovery import RecoveryConfig, books_state, expected_books
 from repro.sim import Simulator
 from repro.storage import SMALL_PAGES
@@ -159,7 +158,22 @@ def format_recovery(points: List[RecoveryPoint]) -> str:
         )
     biggest = points[-1]
     lines.append(f"-- {biggest.viewers} viewers --")
-    for name, value in format_recovery_summary(biggest.outcome):
+    # How long the cold start took, how much journal it replayed, and
+    # what the MSU-wins reconciliation had to repair.
+    outcome = biggest.outcome
+    for name, value in (
+        ("time to recover (s)", outcome.time_to_recover),
+        ("WAL records replayed", outcome.wal_records),
+        ("snapshot seq", outcome.snapshot_seq),
+        ("MSUs reported", outcome.msus_reported),
+        ("MSUs missing", outcome.msus_missing),
+        ("streams kept", outcome.streams_kept),
+        ("streams dropped", outcome.streams_dropped),
+        ("streams adopted", outcome.streams_adopted),
+        ("channels kept", outcome.channels_kept),
+        ("tickets recovered", outcome.tickets_recovered),
+        ("discrepancies logged", len(outcome.discrepancies)),
+    ):
         lines.append(f"  {name:<28} {value:>10.2f}")
     lines.append(
         "(streams admitted before the kill keep playing through the outage;"

@@ -24,6 +24,7 @@ from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.core.replication import ReplicationManager
 from repro.experiments import Experiment, headline
 from repro.media.mpeg import MpegEncoder, packetize_cbr
+from repro.net import messages as m
 from repro.sim import Simulator
 from repro.storage import SMALL_PAGES
 from repro.units import MPEG1_RATE
@@ -67,7 +68,13 @@ def _run(replicate: bool, offered: int, hot_fraction: float, seed: int
             yield from client.register_port(f"p{i}", "mpeg1")
         for i in range(offered):
             name = "hot" if i < n_hot else "cold"
-            client.play_nowait(name, f"p{i}")  # open loop: queued is fine
+            # Open loop: a queued request gets no immediate answer (§2.2),
+            # so the reply is left in the channel mailbox, not awaited.
+            client.channel.send(
+                client.name,
+                m.PlayRequest(client.session_id, name, f"p{i}"),
+                nbytes=m.WIRE_BYTES,
+            )
 
     sim.process(request_all(), name="requests")
     sim.run(until=2.0)  # requests land; queued ones stay parked

@@ -104,7 +104,3 @@ class Machine:
     def any_nic_active(self) -> bool:
         """True if any interface moved a packet very recently."""
         return any(nic.recently_active for nic in self.nics.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        topo = ",".join(str(len(v)) for v in self._disks_by_hba.values())
-        return f"<Machine {self.name} disks/hba=({topo}) nics={list(self.nics)}>"

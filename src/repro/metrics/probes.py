@@ -24,11 +24,6 @@ class Sample:
     end: float
     delta: float
 
-    @property
-    def rate(self) -> float:
-        span = self.end - self.start
-        return self.delta / span if span > 0 else 0.0
-
 
 class CounterProbe:
     """Samples a monotone counter every ``period`` seconds.

@@ -6,14 +6,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.metrics.lateness import LatenessCdf
 
-__all__ = [
-    "format_cdf_table",
-    "quantile_summary",
-    "format_cache_summary",
-    "format_failover_summary",
-    "format_multicast_summary",
-    "format_recovery_summary",
-]
+__all__ = ["format_cdf_table", "quantile_summary"]
 
 
 def format_cdf_table(
@@ -46,79 +39,3 @@ def quantile_summary(cdf: LatenessCdf) -> List[Tuple[str, float]]:
         ("max lateness (ms)", cdf.max_late_ms),
     ]
 
-
-def format_cache_summary(snapshot) -> List[Tuple[str, float]]:
-    """Key figures of one MSU page cache (a CacheSnapshot-like object).
-
-    The three quantities the cache experiment reports: how often a read
-    slot was saved, how full the pool ran, and how many slots that saved
-    in absolute terms.
-    """
-    return [
-        ("hit ratio (%)", snapshot.hit_ratio * 100.0),
-        ("pool occupancy peak (%)",
-         100.0 * snapshot.pool_peak / snapshot.pool_capacity
-         if snapshot.pool_capacity else 0.0),
-        ("disk slots saved", float(snapshot.slots_saved)),
-        ("pinned prefix pages", float(snapshot.pinned_pages)),
-    ]
-
-
-def format_failover_summary(point) -> List[Tuple[str, float]]:
-    """Key figures of one failover run (a FailoverPoint-like object).
-
-    How many streams the failure touched, how many came back, how long
-    viewers stared at a frozen frame, and how long until the cluster's
-    full serving capacity was restored.
-    """
-    resumed_pct = (
-        100.0 * point.resumed / point.victim_streams
-        if point.victim_streams else 0.0
-    )
-    return [
-        ("streams on victim", float(point.victim_streams)),
-        ("resumed (%)", resumed_pct),
-        ("mean resume gap (s)", point.mean_resume_gap_s),
-        ("max resume gap (s)", point.max_resume_gap_s),
-        ("detection budget (s)", point.detection_budget_s),
-        ("time to full capacity (s)", point.time_to_full_capacity_s),
-    ]
-
-
-def format_multicast_summary(manager) -> List[Tuple[str, float]]:
-    """Key figures of one multicast run (a ChannelManager-like object).
-
-    How many viewers each channel carried on average, what share of them
-    arrived late enough to need a patch, and how many unicast disk/
-    delivery slots the channels saved outright.
-    """
-    return [
-        ("channels created", float(manager.channels_created)),
-        ("viewers joined", float(manager.viewers_joined)),
-        ("channel occupancy (viewers/channel)", manager.occupancy()),
-        ("patch ratio (%)", manager.patch_ratio() * 100.0),
-        ("slots saved", float(manager.slots_saved())),
-        ("merges (patches drained)", float(manager.merges)),
-        ("downgrades to unicast", float(manager.downgrades)),
-    ]
-
-
-def format_recovery_summary(outcome) -> List[Tuple[str, float]]:
-    """Key figures of one Coordinator restart (a RecoveryOutcome).
-
-    How long the cold start took, how much journal it replayed, and what
-    the MSU-wins reconciliation had to repair.
-    """
-    return [
-        ("time to recover (s)", outcome.time_to_recover),
-        ("WAL records replayed", float(outcome.wal_records)),
-        ("snapshot seq", float(outcome.snapshot_seq)),
-        ("MSUs reported", float(outcome.msus_reported)),
-        ("MSUs missing", float(outcome.msus_missing)),
-        ("streams kept", float(outcome.streams_kept)),
-        ("streams dropped", float(outcome.streams_dropped)),
-        ("streams adopted", float(outcome.streams_adopted)),
-        ("channels kept", float(outcome.channels_kept)),
-        ("tickets recovered", float(outcome.tickets_recovered)),
-        ("discrepancies logged", float(len(outcome.discrepancies))),
-    ]

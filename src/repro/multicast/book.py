@@ -21,7 +21,11 @@ and the channel of each viewer group, and implements once:
 
 A subclass names its journal kinds, its snapshot section and its record
 dataclass, and keeps its own admission: multicast's batches, patches
-and ledger, live TV's EPG, ingest, surf gate and ring.
+and ledger, live TV's EPG, ingest, surf gate and ring.  It also defines
+``close_channel(channel_id)`` (settle a channel whose fan-out ended),
+and for reconcile ``_off_air(record)`` (its channel no longer runs) and
+``_adopt(msu_name, row, report)`` (the record of a reported channel the
+book never saw), and for replay ``_replayed_private(payload)``.
 """
 
 from __future__ import annotations
@@ -87,10 +91,6 @@ class ChannelBook(Part):
         self._next_channel = data.get("next_channel", self.FIRST_CHANNEL)
         for channel in data.get("channels", ()):
             self._install(from_image(cls, channel))
-
-    def close_channel(self, channel_id: int) -> None:
-        """Settle a channel whose fan-out stream ended on its MSU."""
-        raise NotImplementedError
 
     # -- viewers --------------------------------------------------------------
 
@@ -265,16 +265,8 @@ class ChannelBook(Part):
                     f"({record.content_name!r}); adopted"
                 )
 
-    def _off_air(self, record) -> None:
-        """Reconcile found ``record``'s channel no longer running."""
-        raise NotImplementedError
-
     def _kept(self, record, report, outcome) -> None:
         """Reconcile found ``record``'s channel still running."""
-
-    def _adopt(self, msu_name: str, row: tuple, report):
-        """The record of a reported channel the book has no record of."""
-        raise NotImplementedError
 
     def audit(self) -> List[str]:
         """Problems where the records and both indexes disagree."""
@@ -331,6 +323,3 @@ class ChannelBook(Part):
         if group is not None:
             group.allocations[p["stream_id"]] = from_image(Allocation, p["alloc"])
         self._replayed_private(p)
-
-    def _replayed_private(self, p: dict) -> None:
-        """Count a replayed private slot the way the live path did."""

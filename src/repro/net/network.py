@@ -223,10 +223,6 @@ class Network:
         """Reconnect a partitioned host (no-op when not partitioned)."""
         self._partitioned.discard(host_name)
 
-    def is_partitioned(self, host_name: str) -> bool:
-        """True while ``host_name`` is cut off by :meth:`partition`."""
-        return host_name in self._partitioned
-
     def _wire_delay(self) -> float:
         if self.jitter > 0:
             return self.latency + float(self._rng.uniform(0.0, self.jitter))

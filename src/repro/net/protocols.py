@@ -74,15 +74,16 @@ class RawProtocol(ProtocolModule):
 
 
 class _TimestampedProtocol(ProtocolModule):
-    """Shared logic for protocols with a media timestamp in the header."""
+    """Shared logic for protocols with a media timestamp in the header.
+
+    A subclass defines ``_header_timestamp_us(payload)``: the packet's
+    media time in microseconds, or None for a control message.
+    """
 
     clock_hz = 1
 
     def new_context(self) -> Dict:
         return {"first_arrival_us": None, "first_ts_us": None}
-
-    def _header_timestamp_us(self, payload: bytes) -> Optional[int]:
-        raise NotImplementedError
 
     def delivery_time_us(self, payload: bytes, arrival_us: int, ctx: Dict) -> int:
         if ctx["first_arrival_us"] is None:

@@ -24,7 +24,12 @@ __all__ = ["Volume", "SpanVolume", "StripedVolume"]
 
 
 class Volume:
-    """Base class: block-addressed storage over raw disks."""
+    """Base class: block-addressed storage over raw disks.
+
+    A subclass defines ``nblocks``, the total file-system blocks on the
+    volume, and ``locate(block)``, which maps a logical block to
+    ``(disk, byte offset)``.
+    """
 
     def __init__(self, disks: List[RawDisk], block_size: int = BLOCK_SIZE):
         if not disks:
@@ -33,15 +38,6 @@ class Volume:
             raise ValueError(f"bad block size {block_size}")
         self.disks = disks
         self.block_size = block_size
-
-    @property
-    def nblocks(self) -> int:
-        """Total file-system blocks on the volume."""
-        raise NotImplementedError
-
-    def locate(self, block: int) -> Tuple[RawDisk, int]:
-        """Map a logical block to (disk, byte offset)."""
-        raise NotImplementedError
 
     def _check(self, block: int) -> None:
         if not 0 <= block < self.nblocks:

@@ -206,10 +206,6 @@ class ChaosCluster:
         return self.cluster.coordinator
 
     @property
-    def coordinator_down(self):
-        return self.cluster.coordinator_down
-
-    @property
     def msus(self):
         return self.cluster.msus
 

@@ -24,6 +24,7 @@ from repro.live import LiveConfig
 from repro.multicast import ChannelManager, MulticastConfig
 from repro.net import messages as m
 from repro.net.network import ControlChannel
+from repro.recovery import restore_state, snapshot_state
 from repro.recovery.parts import Part
 from repro.sim import Simulator
 from repro.units import MPEG1_RATE
@@ -189,6 +190,16 @@ class TestSeam:
         sim.run(until=0.2)
         assert not coord.db.msus["m0"].available
         assert toy.failed == ["m0"]
+
+    def test_a_stateless_part_rides_snapshot_and_restore(self):
+        sim = Simulator()
+        coord = Coordinator(sim)
+        bare = snapshot_state(coord)
+        coord.add_part(ToyPart(coord))
+        state = snapshot_state(coord)
+        assert state == bare  # the part adds no section
+        restore_state(coord, state)
+        assert snapshot_state(coord) == bare
 
     def test_protected_groups_survive_the_takeover_heartbeat_diff(self):
         sim = Simulator()

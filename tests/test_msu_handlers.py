@@ -211,6 +211,23 @@ class TestParts:
         ]
 
 
+class TestBarePart:
+    def test_a_part_with_no_hooks_rides_every_lifecycle_path(self):
+        sim = Simulator()
+        msu = build_msu(sim)
+        disk = msu.disk_ids()[0]
+        packets = packetize_cbr(MpegEncoder(seed=1).bitstream(2.0), MPEG1_RATE, 1024)
+        msu.admin_load(disk, "movie", "mpeg1", packets)
+        msu.parts.append(MsuPart())
+        msu.attach_coordinator(ControlChannel(sim, "coord", "m0"))
+        msu.handlers[m.DeleteFile](m.DeleteFile("movie", disk))
+        msu.hang()
+        msu.reboot()
+        msu.crash()
+        assert not msu.up
+        assert msu.state_report().msu_name == "m0"
+
+
 class TestMulticastOnly:
     """An MSU built with the multicast part alone (no live part)."""
 

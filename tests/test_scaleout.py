@@ -287,6 +287,7 @@ class TestWarmStandbyTakeover:
         grace = cluster.config.recovery.report_grace
         assert outcome.takeover_latency <= grace + EPS
         assert outcome.detected_at >= outcome.leader_lost_at
+        assert outcome.detection_latency <= outcome.takeover_latency
         # The shadow is now the Coordinator; nobody was dropped.
         assert cluster.coordinator is standby.shadow
         assert not cluster.coordinator_down
