@@ -143,8 +143,6 @@ def format_cache(points: List[CachePoint]) -> str:
             f"{on.cache_admitted} admissions were cache-covered"
         )
     if on is not None and on.snapshot is not None:
-        # How often a read slot was saved, how full the pool ran, and
-        # how many slots that saved in absolute terms.
         snapshot = on.snapshot
         for name, value in (
             ("hit ratio (%)", snapshot.hit_ratio * 100.0),

@@ -241,9 +241,6 @@ def format_failover(points: List[FailoverPoint]) -> str:
     for p in points:
         label = "replicated" if p.replicated else "single-copy"
         lines.append(f"-- {label} --")
-        # How many streams the failure touched, how many came back, how
-        # long viewers stared at a frozen frame, and how long until the
-        # cluster's full serving capacity was restored.
         resumed_pct = (
             100.0 * p.resumed / p.victim_streams if p.victim_streams else 0.0
         )

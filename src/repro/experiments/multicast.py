@@ -148,8 +148,6 @@ def format_multicast(points: List[MulticastPoint]) -> str:
             f"{on.multicast_copies} receiver copies"
         )
     if on is not None:
-        # How many viewers each channel carried, what share of them
-        # needed a patch, and how many unicast slots channels saved.
         for name, value in (
             ("channels created", on.channels_created),
             ("viewers joined", on.viewers_joined),

@@ -158,8 +158,6 @@ def format_recovery(points: List[RecoveryPoint]) -> str:
         )
     biggest = points[-1]
     lines.append(f"-- {biggest.viewers} viewers --")
-    # How long the cold start took, how much journal it replayed, and
-    # what the MSU-wins reconciliation had to repair.
     outcome = biggest.outcome
     for name, value in (
         ("time to recover (s)", outcome.time_to_recover),

@@ -446,9 +446,9 @@ class Simulator:
         """
         self.schedule(max(0.0, when - self.now), fn, *args)
 
-    def _post(self, event: Event, delay: float = 0.0) -> None:
+    def _post(self, event: Event) -> None:
         self._seq += 1
-        self._sched.push(self.now + delay, self._seq, event._fire, ())
+        self._sched.push(self.now, self._seq, event._fire, ())
 
     # -- factories -------------------------------------------------------
 
