@@ -448,3 +448,35 @@ class TestRunUntilEventEdges:
         sim.run()
         assert log == ["woke", "interrupted", ("re-value", "v", 0.5)]
         assert ev._late is None  # the late batch fully drained
+
+
+class TestPooledSleep:
+    """A pacing process's later timeouts behave as its first one did.
+
+    These rows once covered the pooled ``sleep`` fast path, which handed a
+    recycled ``Timeout`` to every wake-up after the first.  The pool is gone,
+    so they now check the plain ``sim.timeout`` on that same path.
+    """
+
+    def test_sleep_value_passthrough(self, sim):
+        values = []
+
+        def proc():
+            values.append((yield sim.timeout(0.1, value="tick")))
+            values.append((yield sim.timeout(0.1, value="tock")))
+
+        sim.process(proc())
+        sim.run()
+        assert values == ["tick", "tock"]
+
+    def test_sleep_negative_rejected(self, sim):
+        with pytest.raises(ValueError):
+            sim.timeout(-0.1)
+
+        def one_sleep():
+            yield sim.timeout(0.1)
+
+        # Also once an earlier timeout has fired and been released.
+        run_process(sim, one_sleep())
+        with pytest.raises(ValueError):
+            sim.timeout(-0.1)
