@@ -324,7 +324,10 @@ class RecordStream:
         self.last_delivery_us = 0
 
     def accept(self, payload: bytes, now: float) -> None:
-        """Record one arriving packet (assigns its delivery time)."""
+        """Record one arriving packet (assigns its delivery time); once
+        finishing, the tree is closed and a straggler is dropped."""
+        if self.finishing:
+            return
         if self.started is None:
             self.started = now
         arrival_us = int((now - self.started) * 1e6)

@@ -86,6 +86,10 @@ class LiveSource:
         dest = tuple(ready.record_address)
         origin = self.sim.now
         stalled = False
+        ended = []
+        self.sim.process(
+            self._await_end(channel, ended), name=f"{self.host_name}.end{group_id}"
+        )
         for packet in packets:
             due = origin + packet[0] / 1e6
             if (
@@ -100,6 +104,9 @@ class LiveSource:
                 due += self.stall_window[1]
             if due > self.sim.now:
                 yield self.sim.timeout(due - self.sim.now)
+            if ended:
+                socket.close()
+                return
             yield from socket.send(dest, packet[1])
             self.packets_sent += 1
         socket.close()
@@ -109,3 +116,15 @@ class LiveSource:
                 self.host_name, m.VcrCommand(group_id, m.VCR_QUIT),
                 nbytes=m.WIRE_BYTES,
             )
+
+    def _await_end(self, channel: ControlChannel, ended: list) -> Generator:
+        """Note the MSU ending the ingest with EndOfStream (a forced
+        stop).  A break without it is the MSU crashing; the feed plays
+        on, as an uplink does not hear a dead receiver."""
+        while True:
+            msg = yield channel.recv(self.host_name)
+            if msg is None:
+                return
+            if isinstance(msg, m.EndOfStream):
+                ended.append(msg)
+                return
