@@ -73,9 +73,8 @@ class ClusterConfig:
     #: Batched multicast channels + patching streams (extension); None
     #: reproduces the paper's one-unicast-stream-per-viewer delivery.
     multicast: Optional[MulticastConfig] = None
-    #: Coordinator WAL + snapshots + MSU-state reconciliation (extension);
-    #: None reproduces the paper's unrecoverable Coordinator.
-    recovery: Optional[RecoveryConfig] = field(default_factory=RecoveryConfig)
+    #: Coordinator WAL + snapshots + MSU-state reconciliation (extension).
+    recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
     #: Edge proxy tier — popularity-aware prefix caches between the MSUs
     #: and the clients (extension); None keeps the paper's two-tier shape.
     edge: Optional[EdgeConfig] = None
@@ -159,13 +158,9 @@ class CalliopeCluster:
         self.intra_net = Network(sim, "intra", latency=INTRA_LATENCY)
         self.delivery_net = Network(sim, "delivery", latency=config.delivery_latency)
         self.coordinator = self.build_coordinator()
-        self.journal: Optional[JournalStore] = None
+        self.journal = JournalStore(snapshot_every=config.recovery.snapshot_every)
+        self.coordinator.attach_journal(self.journal)
         self.coordinator_down = False
-        if config.recovery is not None:
-            self.journal = JournalStore(
-                snapshot_every=config.recovery.snapshot_every
-            )
-            self.coordinator.attach_journal(self.journal)
         #: Warm standbys tailing the journal (repro.scaleout).
         self.standbys: List[StandbyCoordinator] = []
         #: Completed standby promotions, in order.
@@ -226,8 +221,6 @@ class CalliopeCluster:
 
     def create_standby(self) -> StandbyCoordinator:
         """Bring up a warm standby tailing this cluster's journal."""
-        if self.journal is None:
-            raise CalliopeError("warm standby requires the recovery journal")
         standby = StandbyCoordinator(
             self, name=f"coordinator-standby{len(self.standbys)}"
         )
@@ -412,11 +405,8 @@ class CalliopeCluster:
         Every control connection — MSUs, client sessions — breaks.  MSUs
         keep serving their admitted streams unsupervised; anything they
         report into the closed channels is lost (MSU-wins reconciliation
-        recovers it later).  Requires the recovery journal: without it a
-        Coordinator loss is, as in the paper, not recoverable.
+        recovers it later).
         """
-        if self.journal is None:
-            raise CalliopeError("no recovery journal configured")
         if self.coordinator_down:
             return
         self.leader_lost_at = self.sim.now
@@ -449,8 +439,6 @@ class CalliopeCluster:
         ``StateReport``; reconciliation completes when all have answered
         (or the report grace period expires).
         """
-        if self.journal is None:
-            raise CalliopeError("no recovery journal configured")
         if not self.coordinator_down:
             return
         config = self.config

@@ -377,7 +377,7 @@ class Coordinator:
         )
         self._retry_queue()
 
-    def register_group(self, group: GroupRecord, session: Session) -> None:
+    def register_group(self, group: GroupRecord, session: Optional[Session]) -> None:
         """Install a scheduled group and journal its full image."""
         self.tables.add(group, session)
         self._journal("group-open", {"group": image(group)})

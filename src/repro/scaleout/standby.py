@@ -89,8 +89,6 @@ class StandbyCoordinator:
         cluster: "CalliopeCluster",
         name: str = "coordinator-standby",
     ):
-        if cluster.journal is None:
-            raise ValueError("warm standby requires the recovery journal")
         self.cluster = cluster
         self.sim = cluster.sim
         self.shadow: Coordinator = cluster.build_coordinator(

@@ -440,7 +440,7 @@ class ChaosCluster:
         config did not start one; the crash then exercises the whole
         detect-promote-reconcile arc with no restart in sight.
         """
-        if self.cluster.journal is None or self.cluster.coordinator_down:
+        if self.cluster.coordinator_down:
             return
         if not self.cluster.standbys:
             standby = self.cluster.create_standby()

@@ -127,10 +127,10 @@ def _expected_charges(cluster):
 def check_admission_conservation(cluster) -> List[str]:
     """Exact conservation: books == sum of live allocations (drain only).
 
-    Mid-simulation this is deliberately *not* checked: the Coordinator
-    charges admission before registering the group record (it yields for
-    CPU time in between), so the books legitimately run ahead of the
-    group table inside that window.
+    Mid-simulation this is deliberately *not* checked: every request
+    path places (charges) its group, spends its schedule holds in
+    ``send_schedules`` and registers the group only after them, so the
+    books legitimately run ahead of the group table inside those holds.
     """
     coord = cluster.coordinator
     delivery, cache, disk_bw, streams, active = _expected_charges(cluster)
@@ -786,9 +786,7 @@ def check_takeover_latency(cluster) -> List[str]:
     a *cold* restart only begins its ReportState collection in.
     """
     problems = []
-    config = getattr(cluster, "config", None)
-    recovery = getattr(config, "recovery", None)
-    grace = recovery.report_grace if recovery is not None else 1.0
+    grace = cluster.config.recovery.report_grace
     for outcome in getattr(cluster, "takeovers", ()):
         if outcome.takeover_latency > grace + EPS:
             problems.append(

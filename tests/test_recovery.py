@@ -178,12 +178,6 @@ class TestCoordinatorRestart:
             == json.dumps(expected_books(coord), sort_keys=True)
         )
 
-    def test_crash_requires_a_journal(self):
-        sim, cluster, _ = build_cluster(n_msus=1, run_to=0.2)
-        cluster.journal = None
-        with pytest.raises(CalliopeError, match="journal"):
-            cluster.crash_coordinator()
-
     def test_client_rpcs_fail_fast_while_down(self):
         sim, cluster, _ = build_cluster(n_msus=1, n_titles=1, run_to=0.3)
         client = open_client(sim, cluster)
