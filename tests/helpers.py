@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.clients import Client
 from repro.core.admission import AdmissionControl
 from repro.core.cluster import CalliopeCluster, ClusterConfig
+from repro.core.coordinator import Coordinator
 from repro.core.database import AdminDatabase, ContentEntry
 from repro.failover import FailoverConfig, HeartbeatConfig
 from repro.media import MpegEncoder, packetize_cbr
@@ -25,7 +26,7 @@ from repro.units import BLOCK_SIZE, MPEG1_RATE
 __all__ = [
     "SMALL", "FAST", "MCAST", "make_packets", "build_cluster",
     "open_client", "start_stream", "start_viewer", "start_viewers_together",
-    "beat_until", "record_holds", "record_failures",
+    "beat_until", "record_holds", "record_failures", "crash_in_hold",
     "build_admission_db",
 ]
 
@@ -162,6 +163,35 @@ def record_failures(coord):
 
     coord._msu_failed = timed
     return times
+
+
+def crash_in_hold(setup, index=0):
+    """Rerun ``setup()`` with msu0 crashing so that the Coordinator
+    detects it in the middle of the ``index``-th SCHEDULE_CPU hold after
+    ``setup`` returns; ``(sim, cluster, extra)`` one second on.
+
+    ``setup`` returns ``(sim, cluster, extra)`` and runs the same way
+    each time.  Two probes derive the crash instant: when the hold
+    starts, and how long a crash there takes to detect.
+    """
+    sim, cluster, _ = setup()
+    holds = record_holds(cluster.coordinator)
+    sim.run(until=sim.now + 1.0)
+    hold = holds[index]
+    sim, cluster, _ = setup()
+    detected = record_failures(cluster.coordinator)
+    sim.run(until=hold)
+    cluster.fail_msu(0, crash=True)
+    sim.run(until=hold + 1.0)
+    crash_at = hold + Coordinator.SCHEDULE_CPU / 2 - (detected["msu0"] - hold)
+    sim, cluster, extra = setup()
+    holds = record_holds(cluster.coordinator)
+    detected = record_failures(cluster.coordinator)
+    sim.run(until=crash_at)
+    cluster.fail_msu(0, crash=True)
+    sim.run(until=crash_at + 1.0)
+    assert holds[index] < detected["msu0"] < holds[index] + Coordinator.SCHEDULE_CPU
+    return sim, cluster, extra
 
 
 def beat_until(sim, monitor, msu_name, stop, period=0.1, positions=()):

@@ -1,13 +1,14 @@
 """Coordinator behaviour over real control channels (no MSU data path)."""
 
-import pytest
+import ast
+import pathlib
 
+import repro
 from repro.clients.fake_msu import FakeMsu
 from repro.core.coordinator import Coordinator
 from repro.core.database import ContentEntry
 from repro.net import ControlChannel
 from repro.net import messages as m
-from repro.sim import Simulator
 from tests.conftest import run_process
 
 
@@ -250,3 +251,19 @@ class TestCpuAccounting:
         world.rpc(m.PlayRequest(sid, "clip", "tv"))
         after = world.coordinator.machine.cpu.busy_time
         assert after - before >= Coordinator.REQUEST_CPU
+
+    def test_schedule_cpu_is_spent_only_in_send_schedules(self):
+        """One hold discipline: every schedule message, unicast or a
+        viewer's subscribe, is sent through ``send_schedules``, the one
+        place ``SCHEDULE_CPU`` is spent."""
+        root = pathlib.Path(repro.__file__).resolve().parent
+        spent = []
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            for scope in ast.walk(tree):
+                if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Attribute) and node.attr == "SCHEDULE_CPU":
+                        spent.append((path.relative_to(root).as_posix(), scope.name))
+        assert set(spent) == {("core/coordinator.py", "send_schedules")}

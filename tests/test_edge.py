@@ -23,6 +23,7 @@ from repro.verify.invariants import builtin_registry
 from tests.helpers import (
     FAST,
     SMALL,
+    crash_in_hold,
     make_packets,
     open_client,
     record_failures,
@@ -355,6 +356,36 @@ class TestEdgeSpliceCrashWhileScheduling:
         view = coord.placement.edges[cluster.edges[0].name]
         assert view.uplink_used == 0.0
         assert coord.placement.prefix_serves == 0
+        assert builtin_registry().check(cluster, "drain") == []
+
+
+class TestEdgePatchCrashWhileScheduling:
+    """An edge-covered patch join whose channel's MSU fails inside the
+    subscribe hold.  The edge's serve went out before the hold and
+    refunds itself when done; the viewer batches, parks, and is served
+    once the MSU rejoins."""
+
+    @staticmethod
+    def _patch_join():
+        sim, cluster = TestEdgeSplice()._edged_mcast()
+        cluster.coordinator.placement.note_request("movie")
+        sim.run(until=1.0)
+        start_stream(sim, open_client(sim, cluster, name="a"), "movie", "tv")
+        sim.run(until=4.0)  # past the 2 s horizon, inside the prefix
+        viewer = open_client(sim, cluster, name="b")
+        sim.process(_play_only(sim, viewer, "movie", "tv"))
+        return sim, cluster, None
+
+    def test_failure_inside_the_hold_batches_the_viewer(self):
+        sim, cluster, _ = crash_in_hold(self._patch_join)
+        coord = cluster.coordinator
+        mcast = coord.channel_manager
+        assert mcast.edge_patched == 1 and mcast.patched_joins == 0
+        assert [g for g in coord.groups.values() if g.msu_name == "msu0"] == []
+        assert [req.kind for req in coord.admission.queue].count("play") == 1
+        cluster.rejoin_msu(0)
+        sim.run(until=sim.now + 40.0)
+        assert coord.placement.edges[cluster.edges[0].name].uplink_used == 0.0
         assert builtin_registry().check(cluster, "drain") == []
 
 
