@@ -127,12 +127,6 @@ class StreamMigrator:
             self._trace("migrate-queued", ticket, "no live replica/capacity")
             return
         msu_pin = placed[0].msu_name
-        if msu_pin not in coord._msu_channels:  # the survivor vanished
-            for granted in placed:
-                coord.admission.release(granted)
-            coord.queue_resume(ticket)
-            self.queued += 1
-            return
         group = GroupRecord(ticket.group_id, ticket.session_id, msu_pin)
         size = len(placed)
         messages = []

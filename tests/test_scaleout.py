@@ -25,6 +25,7 @@ from repro.sim import Simulator
 from repro.verify import ChaosConfig, ChaosSchedule, run_schedule
 from repro.verify.faults import FAULT_KINDS, SCALEOUT_FAULT_KINDS, FaultOp
 from repro.verify.invariants import (
+    check_admission_conservation,
     check_scaleout_escrow,
     check_takeover_latency,
 )
@@ -315,6 +316,37 @@ class TestWarmStandbyTakeover:
         start_stream(sim, fresh, "title1", "p1")
         assert _active_streams(cluster.coordinator) == 2
         assert cluster.journal.next_seq > wal_before
+
+    def test_queued_play_retried_at_takeover_waits_for_the_hello(self):
+        # Partitions are not journaled, so a play parked behind one at
+        # the leader fits at once on the promoted standby, whose
+        # takeover retries the queue before any MSU has said hello.
+        sim, cluster, _ = build_cluster(
+            n_msus=1, n_titles=2, n_coordinators=2, standby=True, run_to=0.05
+        )
+        client = open_client(sim, cluster)
+        leader = cluster.coordinator
+        leader.shards.partition(leader.shards.shard_for("title1"))
+
+        def scenario():
+            yield from client.register_port("p1", "mpeg1")
+            yield from client.play("title1", "p1")
+
+        sim.process(scenario())
+        sim.run(until=1.0)
+        assert len(leader.admission.queue) == 1
+        cluster.crash_coordinator()
+        sim.run(until=4.0)
+        coord = cluster.coordinator
+        assert coord is not leader
+        # The retry released its charge and parked again; msu0's hello
+        # retried the queue and placed the play.
+        assert [
+            meta.content_name
+            for group in coord.groups.values()
+            for meta in group.streams.values()
+        ] == ["title1"]
+        assert check_admission_conservation(cluster) == []
 
     def test_standby_stands_down_when_leader_was_cold_restarted(self):
         sim, cluster, _ = build_cluster(
