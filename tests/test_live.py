@@ -12,6 +12,7 @@ and both Coordinator and MSU failures leave clean books behind.
 import pytest
 
 from repro.clients import Client
+from repro.core.admission import PRIORITY_SINGLE_COPY, play_priority
 from repro.core.cluster import CalliopeCluster, ClusterConfig
 from repro.errors import CalliopeError, StorageError
 from repro.failover import FailoverConfig
@@ -376,6 +377,32 @@ class TestViewer:
         assert joined[-1][1] > joined[0][1] + 1.0
         assert mgr.channels == {}
         assert_drained(cluster)
+
+
+    def test_throttled_tune_parks_in_its_degraded_band(self):
+        spec = ChannelSpec("news", "mpeg1", "feed0", start_at=0.5,
+                           duration_seconds=10.0)
+        sim, cluster, _ = build_live(
+            [spec], n_msus=2, surf_rate=0.01, surf_burst=1.0,
+        )
+        sim.run(until=1.0)
+        cluster.fail_msu(1)  # degraded: the channel's msu0 is its one copy
+        sim.run(until=1.5)
+        coord = cluster.coordinator
+        viewers = [open_client(sim, cluster, name=f"c{i}") for i in range(2)]
+
+        def tune(client):
+            yield from client.register_port("tv", "mpeg1")
+            yield from client.play("news", "tv")
+
+        for client in viewers:
+            sim.process(tune(client))
+        sim.run(until=2.0)
+        assert coord.live_manager.surf_throttled == 1
+        entry = coord.db.contents["news"]
+        band = play_priority(coord.db, entry)
+        assert band == PRIORITY_SINGLE_COPY
+        assert [req.priority for req in coord.admission.queue] == [band]
 
 
 class TestFailures:
