@@ -87,6 +87,11 @@ class ClusterConfig:
     seed: int = 42
 
 
+#: The lanes by name, for readers outside the core; None when not built.
+Coordinator.channel_manager = None
+Coordinator.live_manager = None
+
+
 def build_coordinator(
     sim: Simulator,
     config: ClusterConfig,
@@ -124,6 +129,10 @@ def build_coordinator(
     for part in (coord.channel_manager, coord.live_manager, coord.placement):
         if part is not None:
             coord.add_part(part)
+    coord.lanes = [
+        lane for lane in (coord.live_manager, coord.channel_manager)
+        if lane is not None
+    ]
     scaleout = config.scaleout
     if scaleout is not None:
         # Even a single shard gets the escrow/service machinery, so a
@@ -297,7 +306,7 @@ class CalliopeCluster:
             self.sim, self.coordinator.name, proxy.name,
             latency=INTRA_LATENCY, network=self.intra_net,
         )
-        self.coordinator.attach_edge(channel)
+        self.coordinator.placement.attach_edge(channel)
         proxy.attach_coordinator(channel)
 
     # -- client plumbing ----------------------------------------------------------

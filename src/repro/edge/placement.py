@@ -109,6 +109,29 @@ class PlacementManager(Part):
         """Start the placement loop on a promoted warm standby."""
         self.sim.process(self._loop(), name="coord.placement")
 
+    def attach_edge(self, channel) -> None:
+        """Accept an edge proxy control connection; it will say hello."""
+        self.sim.process(self._edge_loop(channel), name="coord.edge")
+
+    def _edge_loop(self, channel) -> Generator:
+        edge_name = None
+        while True:
+            msg = yield channel.recv(self.coord.name)
+            if msg is None:
+                # A halted Coordinator's closing channels are not edge
+                # failures; edge_down ignores a stale channel's break.
+                if not self.coord.dead and edge_name is not None:
+                    self.edge_down(edge_name, channel)
+                return
+            if not isinstance(msg, m.EdgeHello):
+                yield from self.coord._receive(msg)
+                continue
+            edge_name = msg.edge_name
+            self.edge_hello(msg, channel)
+            self.coord._trace("edge-up", edge_name,
+                              f"budget={msg.memory_budget} "
+                              f"pinned={len(msg.pinned)}")
+
     # -- popularity estimator ---------------------------------------------
 
     def note_request(self, content_name: str) -> None:

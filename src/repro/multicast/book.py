@@ -27,7 +27,12 @@ and ledger, live TV's EPG, ingest, surf gate and ring.  It also defines
 ``close_channel(channel_id)`` (settle a channel whose fan-out ended),
 and for reconcile ``_off_air(record)`` (its channel no longer runs) and
 ``_adopt(msu_name, row, report)`` (the record of a reported channel the
-book never saw), and for replay ``_replayed_private(payload)``.
+book never saw), and for replay ``_replayed_private(payload)``.  As a
+delivery lane of the Coordinator it defines ``takes(entry)`` (it serves
+plays of this title) and ``play(msg, channel, session, entry, port)``
+(yields like ``_play``: the reply, or None while the request waits or
+parks).  Its channel ids lie in its own range (:meth:`owns_channel`),
+so a late ``PatchDrained`` for a closed channel still finds its book.
 """
 
 from __future__ import annotations
@@ -39,7 +44,10 @@ from repro.core.sessions import GroupRecord
 from repro.net import messages as m
 from repro.recovery.parts import Part, from_image, image
 
-__all__ = ["ChannelBook"]
+__all__ = ["LIVE_CHANNEL_BASE", "ChannelBook"]
+
+#: Live TV's channel ids start above this; multicast's stay at or below.
+LIVE_CHANNEL_BASE = 1 << 20
 
 
 class ChannelBook(Part):
@@ -69,6 +77,12 @@ class ChannelBook(Part):
         self._next_channel = self.FIRST_CHANNEL
         self.viewers_joined = 0
         self.merges = 0
+
+    def owns_channel(self, channel_id: int) -> bool:
+        """Whether ``channel_id`` lies in this book's id range."""
+        return (channel_id > LIVE_CHANNEL_BASE) == (
+            self.FIRST_CHANNEL > LIVE_CHANNEL_BASE
+        )
 
     # -- records and indexes --------------------------------------------------
 
