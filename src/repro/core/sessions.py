@@ -19,7 +19,8 @@ from repro.errors import TypeMismatchError, UnknownPortError
 from repro.media.content import ContentTypeRegistry
 from repro.recovery.parts import Part, from_image, image
 
-__all__ = ["DisplayPort", "Session", "SessionTable", "GroupRecord", "StreamTables"]
+__all__ = ["DisplayPort", "Session", "SessionTable", "GroupRecord", "StreamTables",
+           "match_ports"]
 
 
 @dataclass
@@ -34,6 +35,20 @@ class DisplayPort:
     @property
     def is_composite(self) -> bool:
         return bool(self.component_ports)
+
+
+def match_ports(ports: List[DisplayPort], type_names) -> List[DisplayPort]:
+    """One of ``ports`` per type name, matched by type and each used
+    once: a composite's components paired with its ports (§2.2)."""
+    available = list(ports)
+    matched = []
+    for type_name in type_names:
+        match = next((p for p in available if p.type_name == type_name), None)
+        if match is None:
+            raise TypeMismatchError(f"no component port of type {type_name!r}")
+        available.remove(match)
+        matched.append(match)
+    return matched
 
 
 @dataclass

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.database import AdminDatabase, ContentEntry, Customer
-from repro.core.sessions import DisplayPort, SessionTable
+from repro.core.sessions import DisplayPort, SessionTable, match_ports
 from repro.errors import TypeMismatchError, UnknownContentError, UnknownPortError
 from repro.media import ContentTypeRegistry, DEFAULT_TYPES
 
@@ -114,3 +114,14 @@ class TestSessionTable:
         )
         with pytest.raises(TypeMismatchError):
             session.atomic_ports_for("outer", types)
+
+    def test_match_ports_pairs_by_type_using_each_port_once(self):
+        v1 = DisplayPort("v1", "rtp-video", address=("h", 1))
+        a = DisplayPort("a", "vat-audio", address=("h", 3))
+        v2 = DisplayPort("v2", "rtp-video", address=("h", 5))
+        ports = [v1, a, v2]
+        matched = match_ports(ports, ["vat-audio", "rtp-video", "rtp-video"])
+        assert matched == [a, v1, v2]
+        assert ports == [v1, a, v2]  # the caller's list is not consumed
+        with pytest.raises(TypeMismatchError, match="'vat-audio'"):
+            match_ports(ports, ["vat-audio", "vat-audio"])
