@@ -101,6 +101,23 @@ class TestPorts:
         assert isinstance(reply, m.RequestFailed)
 
 
+class ToyLane:
+    """A delivery lane defined outside ``src/``: it takes one title and
+    answers that title's plays itself, with no disk slot and no schedule."""
+
+    def __init__(self, title):
+        self.title = title
+        self.plays = []
+
+    def takes(self, entry):
+        return entry.name == self.title
+
+    def play(self, msg, channel, session, entry, port):
+        yield from ()
+        self.plays.append((session.session_id, port.name))
+        return m.StreamScheduled(0, "toy")
+
+
 class TestPlay:
     def _session_with_port(self, world):
         sid = world.rpc(m.OpenSession("user")).session_id
@@ -114,6 +131,28 @@ class TestPlay:
         reply = world.rpc(m.PlayRequest(sid, "clip", "tv"))
         assert isinstance(reply, m.StreamScheduled)
         assert reply.msu_name == "fake0"
+
+    def test_a_lane_serves_what_it_takes_and_the_rest_plays_unicast(self, sim):
+        world = _World(sim)
+        world.add_clip("toy")
+        world.add_clip("plain")
+        lane = ToyLane("toy")
+        world.coordinator.lanes.append(lane)
+        admission = world.coordinator.admission
+        sid = self._session_with_port(world)
+        reply = world.rpc(m.PlayRequest(sid, "toy", "tv"))
+        assert reply.msu_name == "toy"
+        assert lane.plays == [(sid, "tv")]
+        sim.run(until=sim.now + 0.2)
+        # No ScheduleRead reached the MSU and no charge was admitted.
+        assert world.fakes[0].streams_handled == 0
+        assert admission.admitted == 0
+        reply = world.rpc(m.PlayRequest(sid, "plain", "tv"))
+        assert reply.msu_name == "fake0"
+        sim.run(until=sim.now + 0.2)
+        assert world.fakes[0].streams_handled == 1
+        assert admission.admitted == 1
+        assert lane.plays == [(sid, "tv")]
 
     def test_type_mismatch_rejected(self, sim):
         world = _World(sim)

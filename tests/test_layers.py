@@ -199,6 +199,15 @@ def test_no_function_imports_repro_late():
     assert not late, late
 
 
+def test_the_coordinator_names_no_lane_or_edge_loop():
+    """``_play`` and ``_patch_drained`` walk ``lanes`` and the edge
+    control loop lives in the placement part, so the core's Coordinator
+    names neither lane's handle nor the edge loop."""
+    text = (SRC / "repro" / "core" / "coordinator.py").read_text()
+    for name in ("live_manager", "channel_manager", "_edge_loop"):
+        assert name not in text, name
+
+
 #: Each module is imported first, with every ``repro`` module purged
 #: from ``sys.modules`` before the next.
 FIRST_IMPORTS = ("repro.cache.msu_side", "repro.live.msu_side",
