@@ -11,7 +11,7 @@ book, and pinned chaos plans mixing leader kills with shard partitions.
 
 import pytest
 
-from repro.core.admission import Allocation
+from repro.core.admission import PRIORITY_SINGLE_COPY, Allocation
 from repro.core.coordinator import Coordinator
 from repro.failover.heartbeat import (
     EndpointHealth,
@@ -417,6 +417,51 @@ class TestShardedCluster:
         clone.enable_shards(ShardSet(clone.db, 2))
         restore_state(clone, state)
         assert clone.shards.state() == coord.shards.state()
+
+
+@pytest.mark.integration
+class TestAdmissionGateBand:
+    """A play the books cannot decide yet parks in the band its title
+    earns at enqueue time, like every other new play (``park_play``).
+
+    Titles live on msu0 only; with msu1 failed the cluster is degraded,
+    so a play of a single-copy title belongs in PRIORITY_SINGLE_COPY.
+    """
+
+    def _degraded(self):
+        sim, cluster, _ = build_cluster(
+            n_msus=2, n_titles=2, n_coordinators=2, run_to=0.05
+        )
+        client = open_client(sim, cluster)
+        cluster.fail_msu(1)
+        sim.run(until=sim.now + 0.1)
+        return sim, cluster, client
+
+    def _play(self, sim, client, title):
+        def scenario():
+            yield from client.register_port("p1", "mpeg1")
+            yield from client.play(title, "p1")
+
+        sim.process(scenario())
+        sim.run(until=sim.now + 1.0)
+
+    def test_play_parked_behind_a_partition_keeps_its_band(self):
+        sim, cluster, client = self._degraded()
+        coord = cluster.coordinator
+        coord.shards.partition(coord.shards.shard_for("title1"))
+        self._play(sim, client, "title1")
+        assert [(req.kind, req.priority) for req in coord.admission.queue] == [
+            ("play", PRIORITY_SINGLE_COPY)
+        ]
+
+    def test_play_parked_while_recovering_keeps_its_band(self):
+        sim, cluster, client = self._degraded()
+        coord = cluster.coordinator
+        coord.recovering = True
+        self._play(sim, client, "title1")
+        assert [(req.kind, req.priority) for req in coord.admission.queue] == [
+            ("play", PRIORITY_SINGLE_COPY)
+        ]
 
 
 class TestTakeoverInvariant:
