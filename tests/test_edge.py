@@ -294,6 +294,75 @@ class TestEdgeSplice:
         assert proc.is_alive  # parked on the queue, still waiting
 
 
+def _journal_kinds(coord):
+    """Every journal kind ``coord`` appends from now on, in order."""
+    kinds = []
+    append = coord.journal.append
+
+    def spy(kind, payload):
+        kinds.append(kind)
+        return append(kind, payload)
+
+    coord.journal.append = spy
+    return kinds
+
+
+class TestEdgeLegOrder:
+    """The edge leg's two call sites run in opposite orders, and both
+    orders show.  A plain unicast play places its MSU members first, so
+    a play with no MSU slot never plans an edge leg and never counts a
+    plan miss.  The splice plans first, so a title no edge holds never
+    charges an MSU slot only to release it."""
+
+    def test_play_without_msu_slot_parks_before_planning(self):
+        sim, cluster, packets = build_edged()
+        coord = cluster.coordinator
+        placement = coord.placement
+        proxy = cluster.edges[0]
+        cluster.load_content("movie", "mpeg1", packets)
+        cluster.load_content("other", "mpeg1", packets)
+        placement.note_request("movie")
+        sim.run(until=1.0)
+        view = placement.edges[proxy.name]
+        assert view.pinned.get("movie", 0) > 0
+        assert "other" not in view.pinned
+        disk = coord.db.disk("msu0", coord.db.contents["movie"].disk_id)
+        disk.bandwidth_capacity = disk.bandwidth_used + 0.5 * MPEG1_RATE
+        misses, view_misses = placement.plan_misses, view.misses
+        client = open_client(sim, cluster)
+        pinned = sim.process(_play_only(sim, client, "movie", "tv"))
+        unpinned = sim.process(_play_only(sim, client, "other", "tv2"))
+        sim.run(until=sim.now + 0.5)
+        assert pinned.is_alive and unpinned.is_alive
+        assert [req.kind for req in coord.admission.queue] == ["play", "play"]
+        assert placement.plan_misses == misses
+        assert view.misses == view_misses
+        assert coord.admission.edge_admitted == 0
+        assert view.uplink_used == 0.0
+
+    def test_splice_without_prefix_charges_nothing_and_parks(self):
+        sim, cluster = TestEdgeSplice()._edged_mcast()
+        coord = cluster.coordinator
+        start_stream(sim, open_client(sim, cluster, name="a"), "movie", "tv")
+        entry = coord.db.contents["movie"]
+        ctype = coord.types.get("mpeg1")
+        while coord.admission.place_channel(entry, ctype) is not None:
+            pass
+        sim.run(until=8.0)  # nothing pinned: plan_prefix misses
+        viewer = open_client(sim, cluster, name="b")
+        admitted = coord.admission.admitted
+        kinds = _journal_kinds(coord)
+        proc = sim.process(_play_only(sim, viewer, "movie", "tv"))
+        sim.run(until=sim.now + 2.0)
+        mcast = coord.channel_manager
+        assert "charge" not in kinds and "release" not in kinds
+        assert coord.admission.admitted == admitted
+        assert mcast.edge_spliced == 0
+        assert mcast.fallbacks == 1
+        assert [req.kind for req in coord.admission.queue] == ["play"]
+        assert proc.is_alive
+
+
 class TestEdgeSpliceCrashWhileScheduling:
     """The tail MSU dies inside the splice's SCHEDULE_CPU hold.
 
