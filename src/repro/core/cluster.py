@@ -124,6 +124,7 @@ def build_coordinator(
     if config.edge is not None:
         coord.placement = PlacementManager(coord, config.edge)
         coord.admission.edge_books = coord.placement
+        coord.unicast.edge = coord.placement
     if config.live is not None:
         coord.live_manager = LiveManager(coord, config.live)
     for part in (coord.channel_manager, coord.live_manager, coord.placement):

@@ -257,10 +257,17 @@ class PlacementManager(Part):
             return None
         return view.name, splice, kind
 
+    def edge_leg(self, entry, ctype, client_host: str) -> Optional[tuple]:
+        """:meth:`plan_prefix` plus its uplink grant:
+        ``(edge, splice, kind, alloc)``, or None on a miss."""
+        plan = self.plan_prefix(entry, ctype, client_host)
+        return None if plan is None else self._granted(entry, ctype, plan)
+
     def cover_patch(
-        self, entry, patch_pages: int, rate: float, client_host: str
-    ) -> Optional[str]:
-        """The edge that can serve a whole patch window ``[0, patch_pages)``.
+        self, entry, ctype, patch_pages: int, client_host: str
+    ) -> Optional[tuple]:
+        """The edge that can serve a whole patch window ``[0, patch_pages)``
+        and its uplink grant: ``(edge, alloc)``, or None on a miss.
 
         Partial coverage is a miss — a patch split between edge and disk
         would still cost the MSU slot the lane exists to avoid.
@@ -272,10 +279,20 @@ class PlacementManager(Part):
             self.plan_misses += 1
             view.misses += 1
             return None
-        if not self._uplink_fits(view, rate):
+        if not self._uplink_fits(view, ctype.bandwidth_rate):
             self.plan_misses += 1
             return None
-        return view.name
+        return self._granted(entry, ctype, (view.name,))
+
+    def _granted(self, entry, ctype, plan: tuple) -> Optional[tuple]:
+        """``plan + (alloc,)``, with the uplink grant on edge ``plan[0]``.
+
+        A plan is never refused its grant: place_edge runs the same
+        _uplink_fits on the same EdgeView, with no yield in between.
+        Only admission books this part is not wired into decline.
+        """
+        alloc = self.coord.admission.place_edge(entry, ctype, plan[0])
+        return None if alloc is None else plan + (alloc,)
 
     # -- the admission lane's books (edge_books protocol) ------------------
 

@@ -31,8 +31,10 @@ book never saw), and for replay ``_replayed_private(payload)``.  As a
 delivery lane of the Coordinator it defines ``takes(entry)`` (it serves
 plays of this title) and ``play(msg, channel, session, entry, port)``
 (yields like ``_play``: the reply, or None while the request waits or
-parks).  Its channel ids lie in its own range (:meth:`owns_channel`),
-so a late ``PatchDrained`` for a closed channel still finds its book.
+parks).  The lanes end with unicast (:mod:`repro.core.unicast`), which
+takes every title the books pass over.  A book's channel ids lie in its
+own range (:meth:`owns_channel`), so a late ``PatchDrained`` for a
+closed channel still finds its book.
 """
 
 from __future__ import annotations

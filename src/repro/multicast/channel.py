@@ -229,16 +229,9 @@ class ChannelManager(ChannelBook):
         if patch_pages > 0:
             placement = self.coord.placement
             if placement is not None:
-                edge_name = placement.cover_patch(
-                    entry, patch_pages, ctype.bandwidth_rate,
-                    session.client_host,
-                )
-                if edge_name is not None:
-                    alloc = self.coord.admission.place_edge(
-                        entry, ctype, edge_name
-                    )
-                    if alloc is None:
-                        edge_name = None
+                edge_name, alloc = placement.cover_patch(
+                    entry, ctype, patch_pages, session.client_host
+                ) or (None, None)
             if edge_name is None:
                 if offset_us > self.config.patch_horizon * 1e6:
                     # Joinable only because of the edge's extended
@@ -335,8 +328,7 @@ class ChannelManager(ChannelBook):
             # No disk slot for a new channel.  Before parking, try an
             # edge prefix splice per viewer: an edge pinning this title's
             # prefix can carry the opening pages while a (possibly
-            # cache-covered) unicast tail stream starts at the splice —
-            # the lane that previously engaged only with multicast off.
+            # cache-covered) unicast tail stream starts at the splice.
             parked = []
             for req in live:
                 served = yield from self._edge_splice_play(req, entry, ctype)
@@ -387,11 +379,11 @@ class ChannelManager(ChannelBook):
         """Unicast fallback with the edge carrying the prefix.
 
         Returns True when the viewer was scheduled: the assigned edge
-        serves pages [0, splice) while a plain unicast tail stream (the
-        same shape the no-multicast path builds) starts at the splice.
+        serves pages [0, splice) while the unicast lane's tail stream
+        starts at the splice.  The plan comes first, so a title no edge
+        holds charges no tail slot (a hit plans the same leg again).
         Any piece missing — no placement tier, no prefix plan, no tail
-        slot, no uplink grant, or the tail's MSU failing mid-schedule —
-        returns False and the caller parks the request as before.
+        slot, or the tail's MSU failing mid-schedule — returns False.
         """
         coord = self.coord
         if coord.placement is None or entry.components:
@@ -404,17 +396,7 @@ class ChannelManager(ChannelBook):
         plan = coord.placement.plan_prefix(entry, ctype, session.client_host)
         if plan is None:
             return False
-        members = [(entry, port)]
-        placed = coord.place_group(members)
-        if placed is None:
-            return False
-        edge_alloc = coord.admission.place_edge(entry, ctype, plan[0])
-        if edge_alloc is None:
-            coord.admission.release(placed[0])
-            return False
-        group = yield from coord.schedule_play(
-            session, entry, members, placed, plan + (edge_alloc,)
-        )
+        group = yield from coord.unicast.schedule(session, entry, port)
         if group is None:
             return False
         self.edge_spliced += 1

@@ -10,16 +10,16 @@ subsystem manager — is a :class:`Part`.  A part owns, next to its state:
   :meth:`Part.reconcile`, its MSU-wins pass after a cold restart;
 * messages — the MSU/edge kinds it serves, set up by
   ``coord.install(kind, handler)`` when it is built;
-* lifecycle — the no-op hooks :meth:`Part.msu_failed`,
-  :meth:`Part.handle_terminated`, :meth:`Part.protected_groups` and
-  :meth:`Part.activate`;
+* lifecycle — the no-op hooks :meth:`Part.note_request`,
+  :meth:`Part.msu_failed`, :meth:`Part.handle_terminated`,
+  :meth:`Part.protected_groups` and :meth:`Part.activate`;
 * books — :meth:`Part.held_allocations`, the admission charges it holds
   (what :mod:`repro.recovery.reconcile` rebuilds the books from).
 
 The Coordinator keeps the parts it actually has in ``coord.parts``;
 :mod:`repro.recovery.state`, :mod:`repro.recovery.reconcile` and the
-Coordinator's failure, termination, takeover and activation paths only
-walk that list.
+Coordinator's demand, failure, termination, takeover and activation
+paths only walk that list.
 
 :func:`image` / :func:`from_image` are the codec for records whose
 snapshot image is a plain copy of their dataclass fields: tuples become
@@ -61,6 +61,9 @@ class Part:
 
     def reconcile(self, by_msu: dict, outcome) -> None:
         """Resolve replayed state MSU-wins against StateReports by MSU name."""
+
+    def note_request(self, content_name: str) -> None:
+        """Count one new play request (a retry is not one) for a title."""
 
     def msu_failed(self, msu_name: str) -> None:
         """Forget what died with an MSU; its books are already zeroed."""

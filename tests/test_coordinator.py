@@ -9,6 +9,7 @@ from repro.core.coordinator import Coordinator
 from repro.core.database import ContentEntry
 from repro.net import ControlChannel
 from repro.net import messages as m
+from repro.recovery.parts import Part
 from tests.conftest import run_process
 
 
@@ -194,6 +195,36 @@ class TestPlay:
         sim.run(until=sim.now + 1.0)  # first terminates -> retry fires
         assert len(world.coordinator.admission.queue) == 0
         assert world.fakes[0].streams_handled == 2
+
+
+class DemandPart(Part):
+    """A part that only listens to the demand hook."""
+
+    def __init__(self):
+        self.requests = []
+
+    def note_request(self, content_name):
+        self.requests.append(content_name)
+
+
+class TestDemandHook:
+    def test_each_new_play_is_counted_once_and_a_retry_not_again(self, sim):
+        world = _World(sim)
+        world.add_clip()
+        part = DemandPart()
+        world.coordinator.add_part(part)
+        sid = world.rpc(m.OpenSession("user")).session_id
+        world.rpc(m.RegisterPort(sid, "tv", "mpeg1", ("cli", 6000)))
+        state = world.coordinator.db.msus["fake0"]
+        state.delivery_capacity = 200_000.0  # one stream at a time
+        world.channel.send("cli", m.PlayRequest(sid, "clip", "tv"))
+        world.channel.send("cli", m.PlayRequest(sid, "clip", "tv"))
+        sim.run(until=sim.now + 0.02)
+        assert len(world.coordinator.admission.queue) == 1
+        sim.run(until=sim.now + 1.0)  # first terminates -> retry fires
+        assert world.fakes[0].streams_handled == 2
+        assert part.requests == ["clip", "clip"]
+        assert world.coordinator.db.content("clip").request_count == 2
 
 
 class TestRecord:

@@ -208,6 +208,16 @@ def test_the_coordinator_names_no_lane_or_edge_loop():
         assert name not in text, name
 
 
+def test_the_coordinator_leaves_the_edge_leg_to_the_unicast_lane():
+    """Unicast is the last lane and the edge part supplies its edge leg,
+    so the Coordinator only declares the placement handle and never
+    plans, grants, schedules or starts an edge serve itself."""
+    text = (SRC / "repro" / "core" / "coordinator.py").read_text()
+    assert "self.placement." not in text
+    for name in ("schedule_play", "plan_prefix", "place_edge", "begin_serve"):
+        assert name not in text, name
+
+
 #: Each module is imported first, with every ``repro`` module purged
 #: from ``sys.modules`` before the next.
 FIRST_IMPORTS = ("repro.cache.msu_side", "repro.live.msu_side",
