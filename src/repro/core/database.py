@@ -249,12 +249,11 @@ class AdminDatabase(Part):
         """(name, type) pairs for the table of contents, name-sorted."""
         return [(n, self.contents[n].type_name) for n in sorted(self.contents)]
 
-    def note_request(self, name: str) -> ContentEntry:
+    def note_request(self, name: str) -> None:
         """Count one play request against a title (admitted or not)."""
         entry = self.content(name)
         entry.request_count += 1
         self._journal("note-request", {"name": name})
-        return entry
 
     def note_played(self, name: str, count: int = 1) -> ContentEntry:
         """Count ``count`` admitted plays against a title, journaled."""
