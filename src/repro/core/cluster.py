@@ -40,7 +40,7 @@ from repro.scaleout.standby import (
     StandbyCoordinator,
     TakeoverOutcome,
 )
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 from repro.storage.ibtree import IBTreeConfig
 from repro.units import ms
 
@@ -202,12 +202,7 @@ class CalliopeCluster:
                 parts=parts,
                 heartbeat_period=heartbeat_period,
             )
-            channel = ControlChannel(
-                sim, self.coordinator.name, msu.name,
-                latency=INTRA_LATENCY, network=self.intra_net,
-            )
-            self.coordinator.attach_msu(channel)
-            msu.attach_coordinator(channel)
+            self._connect_msu(msu)
             self.msus.append(msu)
         self.edges: List[EdgeProxy] = []
         if config.edge is not None:
@@ -234,8 +229,6 @@ class CalliopeCluster:
         standby = StandbyCoordinator(
             self, name=f"coordinator-standby{len(self.standbys)}"
         )
-        standby.shadow.tracer = self.coordinator.tracer
-        standby.shadow.on_capacity_lost = self.coordinator.on_capacity_lost
         self.standbys.append(standby)
         if not self._beacon_running:
             self._beacon_running = True
@@ -256,50 +249,49 @@ class CalliopeCluster:
             for standby in self.standbys:
                 standby.leader_beat()
 
-    def promote_standby(self, standby: StandbyCoordinator) -> None:
-        """Swap ``standby``'s shadow in as the acting Coordinator.
-
-        Called by the standby's own takeover path (detector verdict) or
-        directly by tests.  Unlike :meth:`restart_coordinator` there is
-        no ``begin_recovery`` window: the shadow trusts its tailed
-        tables, re-opens admissions immediately and reconciles each MSU
-        lazily against its next heartbeat's stream positions.
-        """
-        coord = standby.shadow
-        coord.replayed_records = standby.records_tailed
-        coord.activate()
+    def promote_standby(self, standby: StandbyCoordinator) -> Event:
+        """Seat ``standby``'s caught-up shadow as the acting Coordinator
+        (its takeover path, or tests); see :meth:`_promote`."""
         self.standbys.remove(standby)
+        return self._promote(standby.shadow, standby.records_tailed)
+
+    def _promote(self, coord: Coordinator, replayed: int) -> Event:
+        """Seat ``coord``, a shadow holding the journal's state, as leader.
+
+        The one way back from a lost leader, for a cold restart and a
+        standby takeover alike: the shadow activates, takes the journal
+        and holds admissions behind ``begin_recovery`` while every up MSU
+        reattaches and answers ReportState, and every live edge
+        reattaches (each hello reconciles edge-wins).  The returned event
+        fires when ``_complete_recovery`` has reconciled MSU-wins and
+        admissions reopen.
+        """
+        coord.tracer = self.coordinator.tracer
+        coord.on_capacity_lost = self.coordinator.on_capacity_lost
+        coord.replayed_records = replayed
+        coord.activate()
         self.coordinator = coord
         self.coordinator_down = False
         coord.attach_journal(self.journal)
-        if coord.shards is not None:
-            # Now the leader: escrow moves originate (and journal) here.
-            coord.shards.journal = coord._journal
-        up_msus = []
-        for msu in self.msus:
-            if not msu.up:
-                continue
-            channel = ControlChannel(
-                self.sim, coord.name, msu.name,
-                latency=INTRA_LATENCY, network=self.intra_net,
-            )
-            coord.attach_msu(channel)
-            msu.attach_coordinator(channel)
-            up_msus.append(msu.name)
-        coord.arm_heartbeat_reconcile(up_msus)
-        # An MSU that died while the old leader was already gone never
-        # journaled its loss, so the replayed database still schedules
-        # it.  Declare it failed now — the warm equivalent of the cold
-        # restart's missing-StateReport rule; if the machine is merely
-        # rebooting it will say MsuHello and re-register.
-        up = set(up_msus)
-        for msu_name, state in list(coord.db.msus.items()):
-            if state.available and msu_name not in up:
-                coord._msu_failed(msu_name, reason="takeover")
+        up = [msu for msu in self.msus if msu.up]
+        done = coord.begin_recovery(
+            [msu.name for msu in up], self.config.recovery.report_grace
+        )
+        for msu in up:
+            self._connect_msu(msu)
         for proxy in self.edges:
             if not proxy.down:
                 self._connect_edge(proxy)
-        coord._retry_queue()
+        return done
+
+    def _connect_msu(self, msu: Msu) -> None:
+        """Wire one MSU to the (current) Coordinator; it says hello."""
+        channel = ControlChannel(
+            self.sim, self.coordinator.name, msu.name,
+            latency=INTRA_LATENCY, network=self.intra_net,
+        )
+        self.coordinator.attach_msu(channel)
+        msu.attach_coordinator(channel)
 
     def _connect_edge(self, proxy: EdgeProxy) -> None:
         """Wire one edge proxy to the (current) Coordinator."""
@@ -381,12 +373,7 @@ class CalliopeCluster:
         if self.coordinator_down:
             # Nobody to say hello to; restart_coordinator reconnects it.
             return
-        channel = ControlChannel(
-            self.sim, self.coordinator.name, msu.name,
-            latency=INTRA_LATENCY, network=self.intra_net,
-        )
-        self.coordinator.attach_msu(channel)
-        msu.attach_coordinator(channel)
+        self._connect_msu(msu)
 
     def recover(self, index: int) -> None:
         """Bring a failed MSU back (alias for :meth:`rejoin_msu`)."""
@@ -444,40 +431,14 @@ class CalliopeCluster:
     def restart_coordinator(self) -> None:
         """Cold-start a fresh Coordinator from the journal and reconcile.
 
-        The new instance restores the last snapshot, replays the WAL
-        tail, reconnects every live MSU and probes each for a
-        ``StateReport``; reconciliation completes when all have answered
-        (or the report grace period expires).
+        The new instance is built as a standby's shadow is, catches up in
+        one go (restore the last snapshot, replay the WAL tail) and is
+        promoted through :meth:`_promote`, the takeover's own path.
         """
         if not self.coordinator_down:
             return
-        config = self.config
-        old = self.coordinator
-        coord = self.build_coordinator()
-        coord.tracer = old.tracer
-        coord.on_capacity_lost = old.on_capacity_lost
-        coord.replayed_records = recover(coord, self.journal)
-        self.coordinator = coord
-        self.coordinator_down = False
-        coord.attach_journal(self.journal)
-        expected = [
-            state.name for state in coord.db.msus.values() if state.available
-        ]
-        coord.begin_recovery(expected, config.recovery.report_grace)
-        for msu in self.msus:
-            if not msu.up:
-                continue
-            channel = ControlChannel(
-                self.sim, coord.name, msu.name,
-                latency=INTRA_LATENCY, network=self.intra_net,
-            )
-            coord.attach_msu(channel)
-            msu.attach_coordinator(channel)
-        # Live edges reconnect too; each hello triggers edge-wins
-        # reconciliation against the replayed placement view.
-        for proxy in self.edges:
-            if not proxy.down:
-                self._connect_edge(proxy)
+        coord = self.build_coordinator(standby=True)
+        self._promote(coord, recover(coord, self.journal))
 
     # -- administrative helpers -----------------------------------------------------
 

@@ -47,7 +47,7 @@ from repro.net.network import ControlChannel
 from repro.recovery.parts import image
 from repro.recovery.reconcile import reconcile
 from repro.recovery.state import snapshot_state
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 from repro.units import BLOCK_SIZE, ms
 
 __all__ = ["Coordinator", "GroupRecord"]
@@ -79,9 +79,10 @@ class Coordinator:
     ):
         self.sim = sim
         self.name = name
-        #: True while this instance is a warm-standby *shadow*: it applies
-        #: journal records but owns no cluster — background managers
-        #: (EPG, edge placement) stay passive until :meth:`activate`.
+        #: True while this instance is a *shadow* (a warm standby, or a
+        #: cold restart replaying): it applies journal records but owns no
+        #: cluster — background managers (EPG, edge placement) stay
+        #: passive until :meth:`activate`.
         self.standby = standby
         params = machine_params or MachineParams(name=name, disks_per_hba=())
         self.machine = Machine(sim, params)
@@ -135,9 +136,11 @@ class Coordinator:
         #: True between begin_recovery() and reconciliation completing.
         self.recovering = False
         self._recovery_expected: set = set()
+        self._recovery_missing: set = set()
         self._recovery_reports: Dict[str, m.StateReport] = {}
         self._recovery_backlog: List[object] = []
         self._recovery_started = 0.0
+        self._recovery_done = None
         #: WAL records replayed at restart (cluster sets it; metrics).
         self.replayed_records = 0
         #: The most recent restart's RecoveryOutcome, if any.
@@ -153,12 +156,6 @@ class Coordinator:
         #: Sharded admission escrow (repro.scaleout); None keeps the
         #: single-process books.  Installed via :meth:`enable_shards`.
         self.shards = None
-        #: MSUs whose first post-takeover heartbeat still needs the warm
-        #: reconciliation diff (repro.scaleout.standby).
-        self._warm_pending: set = set()
-        #: Streams the warm reconciliation dropped (E24 / tests read it;
-        #: zero when no admitted stream died with the old leader).
-        self.takeover_drops = 0
 
     # -- scale-out (repro.scaleout) -----------------------------------------------
 
@@ -200,65 +197,17 @@ class Coordinator:
             self.shards.replaying = replaying or self.standby
 
     def activate(self) -> None:
-        """Promote a standby shadow into the acting leader.
+        """Promote a shadow into the acting leader.
 
         Flips the passive flag and lets every part start the background
         loops the shadow suppressed — the EPG slots that have not fired
         yet (each re-checks ``fired`` and the current time, so late
         spawning is safe) and the edge placement loop.
         """
-        if not self.standby:
-            return
         self.standby = False
         for part in self.parts:
             part.activate()
         self.set_replaying(False)
-
-    def arm_heartbeat_reconcile(self, msu_names) -> None:
-        """Schedule a warm reconciliation against each MSU's next beat.
-
-        The takeover path's replacement for the restart-time ReportState
-        storm: instead of probing every MSU and holding admissions for a
-        grace window, the new leader diffs its replayed stream tables
-        against the positions already riding each MSU's next heartbeat.
-        """
-        self._warm_pending = set(msu_names)
-
-    def _warm_reconcile(self, msu_name: str, positions) -> int:
-        """Drop replayed playback streams absent from a fresh heartbeat.
-
-        MSU-wins, like the cold-restart reconcile, but scoped to what a
-        heartbeat can prove: positions carry playback streams and channel
-        subscribers, never recordings or live ingests, so only plain
-        playback allocations are eligible.  The groups a part settles
-        through its own messages (channels, subscribers, live ingests,
-        edge serves) are its ``protected_groups()`` and are left alone.
-        """
-        reported = {(gid, sid) for gid, sid, _page, _us in positions}
-        protected = set().union(*(part.protected_groups() for part in self.parts))
-        dropped = 0
-        for group in list(self.groups.values()):
-            if group.msu_name != msu_name or group.group_id in protected:
-                continue
-            if group.recordings:
-                continue  # record streams never ride the heartbeat
-            for stream_id in sorted(
-                set(group.allocations) & set(group.streams)
-            ):
-                if (group.group_id, stream_id) in reported:
-                    continue
-                # The termination this MSU reported into the dead
-                # leader's closed channel, replayed from heartbeat truth.
-                self._stream_terminated(
-                    m.StreamTerminated(
-                        group.group_id, stream_id, reason="takeover-sync"
-                    )
-                )
-                dropped += 1
-        if dropped:
-            self.takeover_drops += dropped
-            self._trace("takeover-sync", msu_name, f"dropped={dropped}")
-        return dropped
 
     def _trace(self, category: str, subject, detail: str = "") -> None:
         if self.tracer is not None:
@@ -313,23 +262,32 @@ class Coordinator:
         if self.monitor is not None:
             self.monitor.stop_all()
 
-    def begin_recovery(self, expected, grace: float) -> None:
+    def begin_recovery(self, attached, grace: float) -> Event:
         """Enter the reconciliation window after replaying the journal.
 
-        ``expected`` names the MSUs the replayed database believes are up;
-        each is probed with :class:`~repro.net.messages.ReportState` as it
-        reattaches.  Reconciliation runs when every expected MSU has
-        reported or ``grace`` seconds elapse — whichever comes first; the
-        silent ones are then declared failed.
+        Every MSU that says hello meanwhile is probed with
+        :class:`~repro.net.messages.ReportState` and expected to answer;
+        so is each MSU in ``attached`` (the ones being reconnected) that
+        the replayed database believes is up.  Every other MSU it
+        believes is up is missing at once.  Reconciliation runs when
+        every expected MSU has reported or ``grace`` seconds elapse —
+        whichever comes first — and declares the missing and the silent
+        ones failed.  The returned event fires, with the
+        :class:`~repro.recovery.RecoveryOutcome`, as admissions reopen.
         """
+        available = {
+            name for name, state in self.db.msus.items() if state.available
+        }
         self.recovering = True
-        self._recovery_expected = set(expected)
+        self._recovery_expected = available & set(attached)
+        self._recovery_missing = available - self._recovery_expected
         self._recovery_reports = {}
         self._recovery_backlog = []
         self._recovery_started = self.sim.now
+        self._recovery_done = done = self.sim.event("coord.recovered")
         if not self._recovery_expected:
             self._complete_recovery()
-            return
+            return done
 
         def _grace_timer() -> Generator:
             yield self.sim.timeout(grace)
@@ -337,6 +295,7 @@ class Coordinator:
                 self._complete_recovery()
 
         self.sim.process(_grace_timer(), name="coord.recovery-grace")
+        return done
 
     def _state_reported(self, msg: m.StateReport) -> None:
         if not self.recovering:
@@ -354,7 +313,10 @@ class Coordinator:
             self._recovery_reports[name]
             for name in sorted(self._recovery_reports)
         ]
-        missing = sorted(self._recovery_expected - set(self._recovery_reports))
+        missing = sorted(
+            (self._recovery_missing | self._recovery_expected)
+            - set(self._recovery_reports)
+        )
         outcome = reconcile(self, reports, missing)
         outcome.time_to_recover = self.sim.now - self._recovery_started
         outcome.wal_records = self.replayed_records
@@ -375,6 +337,7 @@ class Coordinator:
             f"dropped={outcome.streams_dropped} adopted={outcome.streams_adopted} "
             f"tickets={outcome.tickets_recovered}",
         )
+        self._recovery_done.succeed(outcome)
         self._retry_queue()
 
     def register_group(self, group: GroupRecord, session: Optional[Session]) -> None:
@@ -418,6 +381,7 @@ class Coordinator:
                 self._trace("msu-up", msu_name, f"disks={len(msg.disks)}")
                 if self.recovering:
                     # Restart protocol: ask what it is actually serving.
+                    self._recovery_expected.add(msu_name)
                     channel.send(self.name, m.ReportState(), nbytes=m.WIRE_BYTES)
                 else:
                     self._retry_queue()
@@ -439,13 +403,9 @@ class Coordinator:
         if handler is not None and handler(msg):
             self._retry_queue()
 
-    def _heartbeat(self, msg: m.Heartbeat) -> bool:
+    def _heartbeat(self, msg: m.Heartbeat) -> None:
         if self.monitor is not None:
             self.monitor.beat(msg)
-        if msg.msu_name not in self._warm_pending:
-            return False
-        self._warm_pending.discard(msg.msu_name)
-        return self._warm_reconcile(msg.msu_name, msg.positions) > 0
 
     def _terminated(self, msg: m.StreamTerminated) -> bool:
         self.terminations_handled += 1

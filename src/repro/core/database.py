@@ -354,7 +354,8 @@ class AdminDatabase(Part):
             self.msus[msu.name] = msu
 
     def reconcile(self, by_msu: dict, outcome) -> None:
-        """Free blocks come from the MSU allocators, pins from their caches."""
+        """Free blocks come from the MSU allocators, title sizes from
+        their files, pins from their caches."""
         for report in by_msu.values():
             state = self.msus.get(report.msu_name)
             if state is None:
@@ -370,17 +371,23 @@ class AdminDatabase(Part):
                 disk = state.disks.get(disk_id)
                 if disk is not None:
                     disk.free_blocks = free
-        # A title is pinned iff its home MSU's cache says so.
+        # A title is pinned iff its home MSU's cache says so, and holds
+        # the blocks its file there does (a recording that ended while
+        # the Coordinator was down never reported its size).
         for report in by_msu.values():
             pinned = {
                 (disk_id, content)
                 for disk_id, content, pages in report.pins
                 if pages > 0
             }
+            sizes = {
+                (disk_id, name): blocks for disk_id, name, blocks in report.files
+            }
             for entry in self.contents.values():
                 if entry.msu_name != report.msu_name:
                     continue
                 key = (entry.disk_id, entry.name)
+                entry.blocks = sizes.get(key, entry.blocks)
                 if entry.prefix_pinned and key not in pinned:
                     entry.prefix_pinned = False
                     outcome.pins_reset += 1

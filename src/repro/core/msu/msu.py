@@ -251,9 +251,10 @@ class Msu:
 
         Everything the MSU is serving *right now*: active streams by
         group (channel streams excluded — they travel as channels),
-        allocator free-block truth, and each part's fields (multicast
-        channels with their subscriber sets, pinned prefixes).  Recovery
-        treats this as authoritative (MSU-wins reconciliation).
+        allocator free-block truth, every file's size, and each part's
+        fields (multicast channels with their subscriber sets, pinned
+        prefixes).  Recovery treats this as authoritative (MSU-wins
+        reconciliation).
         """
         streams = []
         for group_id in sorted(self.groups):
@@ -270,10 +271,17 @@ class Msu:
                     group_id, stream.stream_id, stream.handle.name,
                     proc.disk_id if proc is not None else "", kind, rate,
                 ))
+        files = tuple(
+            (disk_id, handle.name, len(handle.blocks))
+            for disk_id, fs in sorted(self.filesystems.items())
+            for handle in fs.list_files()
+        )
         fields = self._inventory()
         for part in self.parts:
             fields.update(part.report())
-        return m.StateReport(self.name, streams=tuple(streams), **fields)
+        return m.StateReport(
+            self.name, streams=tuple(streams), files=files, **fields
+        )
 
     def _heartbeat_loop(self, channel: ControlChannel) -> Generator:
         """Beat periodically, carrying every playback stream's position.

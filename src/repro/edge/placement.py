@@ -476,10 +476,6 @@ class PlacementManager(Part):
             self.recent.pop(name, None)
             self.coord._journal("edge-down", {"edge": name})
 
-    def protected_groups(self) -> set:
-        """Groups with an edge serve in flight settle via EdgeServeDone."""
-        return {gid for (gid, _sid) in self.serves}
-
     def edge_down(self, edge_name: str, channel) -> None:
         """The edge's current control channel broke (a stale one closing
         after a re-hello does not count): everything it held is gone."""

@@ -8,13 +8,13 @@ bandwidth books.  This experiment measures both promises:
 
 **Part A — warm takeover.**  Admit ``n`` viewers, crash the leader
 mid-playback with a synced standby armed, and let the heartbeat detector
-drive the promotion.  Measured: detection and takeover latency from the
-instant of leader loss (the headline bound: takeover completes within
-one ``report_grace``, the window a *cold* restart only begins its
-ReportState collection in), WAL records the standby had tailed, and the
-number of admitted streams dropped across the switch (must be zero — the
-MSUs never stop serving and the warm reconcile adopts every stream the
-next heartbeats confirm).
+drive the promotion.  Measured: detection latency, and takeover latency
+from the instant of leader loss to admissions reopening (the headline
+bound: within one ``report_grace``), WAL records the standby had tailed,
+and the admitted streams the reconcile dropped across the switch (must
+be zero — the MSUs never stop serving).  The promoted standby reconciles
+through the same StateReport barrier a cold restart runs (E20), so the
+takeover is detection plus one report round trip.
 
 **Part B — sharded admission throughput.**  With a non-zero per-decision
 service time, admit a burst of viewers (one client each, titles spread
@@ -49,7 +49,7 @@ __all__ = [
     "format_scaleout",
 ]
 
-#: Reconciliation grace (the cold-restart budget a takeover must beat).
+#: Reconciliation grace (the budget a takeover must land within).
 _GRACE = 1.0
 
 #: Simulated seconds one shard spends deciding one admission (part B).
@@ -67,7 +67,7 @@ class TakeoverPoint:
     takeover_s: float
     #: WAL records the standby had applied while shadowing.
     records_tailed: int
-    #: Admitted streams the warm reconcile dropped (0 = kept them all).
+    #: Admitted streams the reconcile dropped (0 = kept them all).
     streams_dropped: int
     #: Streams on the books after the takeover settled.
     active_after: int
@@ -133,8 +133,8 @@ def _run_takeover_point(
         len(group.allocations) for group in coord.groups.values()
     )
     cluster.crash_coordinator()
-    # Detection (~0.3s) + promotion are event-driven; run past the grace
-    # window plus a few MSU heartbeats so the warm reconcile settles.
+    # Detection (~0.3s), promotion and the StateReport round trip are
+    # event-driven; run past the grace window so everything settles.
     sim.run(until=kill_at + _GRACE + 1.0)
     if not cluster.takeovers:  # pragma: no cover - takeover must happen
         raise RuntimeError("standby never took over")
@@ -149,7 +149,7 @@ def _run_takeover_point(
         detection_s=outcome.detection_latency,
         takeover_s=outcome.takeover_latency,
         records_tailed=outcome.records_tailed,
-        streams_dropped=coord.takeover_drops,
+        streams_dropped=coord.last_recovery.streams_dropped,
         active_after=active_after,
     )
 
@@ -274,9 +274,10 @@ def format_scaleout(
             f"{p.grants:>6} | {p.steals:>6}"
         )
     lines.append(
-        "(the standby tails the WAL and promotes on heartbeat silence —"
-        " no ReportState storm, no dropped streams; shards admit in"
-        " parallel against escrowed slices of each disk's bandwidth book)"
+        "(the standby tails the WAL, promotes on heartbeat silence and"
+        " reconciles through the cold restart's one StateReport round"
+        " trip — no dropped streams; shards admit in parallel against"
+        " escrowed slices of each disk's bandwidth book)"
     )
     return "\n".join(lines)
 
@@ -297,8 +298,8 @@ def _checks(result: Tuple[List[TakeoverPoint], List[ShardPoint]]) -> None:
     takeovers, shardings = result
     speedup = _speedup(shardings)
     # The acceptance bar: every takeover lands within one report_grace
-    # with zero admitted streams dropped (MSUs never stop serving, the
-    # warm reconcile adopts everything the heartbeats confirm), and four
+    # with zero admitted streams dropped (MSUs never stop serving, and
+    # the reconcile keeps everything their StateReports confirm), and four
     # shards admit the burst materially faster than the serial baseline
     # without escrow ever double-spending (grants/steals are journaled;
     # the scaleout-escrow invariant audits the same machinery in chaos).

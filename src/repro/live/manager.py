@@ -402,9 +402,9 @@ class LiveManager(ChannelBook):
                           f"channel={channel_id} forced={forced} "
                           f"viewers={record.viewers_total}")
 
-    def protected_groups(self) -> set:
-        """Ingest groups settle via live messages too."""
-        return super().protected_groups() | set(self._ingest_groups)
+    def owned_groups(self) -> set:
+        """The ingest groups too."""
+        return super().owned_groups() | set(self._ingest_groups)
 
     def msu_failed(self, msu_name: str) -> None:
         """Every channel on a dead MSU went dark with it."""

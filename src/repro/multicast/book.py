@@ -234,8 +234,8 @@ class ChannelBook(Part):
             })
         return False
 
-    def protected_groups(self) -> set:
-        """Fan-out and viewer groups settle via channel messages."""
+    def owned_groups(self) -> set:
+        """The fan-out and viewer group ids this book owns."""
         return set(self._channel_groups) | set(self._subscriber_groups)
 
     def reconcile(self, by_msu: dict, outcome) -> None:

@@ -313,7 +313,8 @@ class StateReport:
     subscribers)`` tuple per multicast channel, with ``subscribers`` as
     ``(group_id, stream_id)`` pairs.  ``pins`` lists pinned prefixes as
     ``(disk_id, content_name, pages)``.  ``disks`` mirrors MsuHello's
-    allocator free-block counts.
+    allocator free-block counts, and ``files`` lists every stored file
+    as ``(disk_id, name, blocks)`` with the blocks it holds on disk.
     """
 
     msu_name: str
@@ -326,6 +327,7 @@ class StateReport:
     #: disk_id, rate, subscribers)`` — the in-flight ingest itself travels
     #: in ``streams`` (kind ``"record"``, under its own ingest group).
     live_channels: Tuple[Tuple[int, int, int, str, str, float, Tuple[Tuple[int, int], ...]], ...] = ()
+    files: Tuple[Tuple[str, str, int], ...] = ()
 
 
 @dataclass(frozen=True)

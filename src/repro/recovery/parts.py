@@ -7,19 +7,20 @@ subsystem manager — is a :class:`Part`.  A part owns, next to its state:
 * persistence — ``SECTIONS``, the snapshot keys it writes
   (:meth:`Part.snapshot`) and replaces (:meth:`Part.load`); ``REPLAY``,
   its journal kinds as ``{kind: handler(part, payload)}``; and
-  :meth:`Part.reconcile`, its MSU-wins pass after a cold restart;
+  :meth:`Part.reconcile`, its MSU-wins pass when a restarted or
+  promoted Coordinator reopens admissions;
 * messages — the MSU/edge kinds it serves, set up by
   ``coord.install(kind, handler)`` when it is built;
 * lifecycle — the no-op hooks :meth:`Part.note_request`,
-  :meth:`Part.msu_failed`, :meth:`Part.handle_terminated`,
-  :meth:`Part.protected_groups` and :meth:`Part.activate`;
+  :meth:`Part.msu_failed`, :meth:`Part.handle_terminated` and
+  :meth:`Part.activate`;
 * books — :meth:`Part.held_allocations`, the admission charges it holds
   (what :mod:`repro.recovery.reconcile` rebuilds the books from).
 
 The Coordinator keeps the parts it actually has in ``coord.parts``;
 :mod:`repro.recovery.state`, :mod:`repro.recovery.reconcile` and the
-Coordinator's demand, failure, termination, takeover and activation
-paths only walk that list.
+Coordinator's demand, failure, termination and activation paths only
+walk that list.
 
 :func:`image` / :func:`from_image` are the codec for records whose
 snapshot image is a plain copy of their dataclass fields: tuples become
@@ -72,12 +73,8 @@ class Part:
         """True when this part fully handled an MSU's StreamTerminated."""
         return False
 
-    def protected_groups(self) -> set:
-        """Group ids a takeover's heartbeat diff must leave to this part."""
-        return set()
-
     def activate(self) -> None:
-        """Start the background work a warm-standby shadow suppressed."""
+        """Start the background work a shadow suppressed until promoted."""
 
     def held_allocations(self) -> Iterable:
         """Every admission charge this part holds, in a fixed order."""

@@ -10,10 +10,11 @@ restart downtime and the serial bottleneck:
   continuously tails the leader's journal into a shadow replica,
   detects leader loss via heartbeats
   (:class:`repro.failover.HeartbeatMonitor` watching the leader instead
-  of MSUs) and takes over within one ``report_grace`` — no restart-time
-  ReportState storm; MSUs keep serving throughout, and the few
-  terminations that died with the leader's sockets are reconciled from
-  the next heartbeat's stream positions.
+  of MSUs) and takes over within one ``report_grace``.  It is promoted
+  exactly as a cold-restarted Coordinator is: one StateReport round
+  trip (0.003 s in E20) and the MSU-wins reconcile, so E24's takeover
+  reopens admissions 0.303 s after the leader dies.  MSUs keep serving
+  throughout.
 * :mod:`repro.scaleout.escrow` — **sharded admission**: N coordinator
   shards partitioned by content, each holding an escrowed slice of
   every disk's bandwidth book with a journaled refill/steal protocol,

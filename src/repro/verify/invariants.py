@@ -614,7 +614,7 @@ def check_live_drain(cluster) -> List[str]:
                 f"{len(manager.channels)} live channel records outlive "
                 f"the drain: {sorted(manager.channels)}"
             )
-        groups = manager.protected_groups()  # fan-out, ingest and viewers
+        groups = manager.owned_groups()  # fan-out, ingest and viewers
         if groups:
             problems.append(f"live groups outlive the drain: {sorted(groups)}")
     for msu in cluster.msus:
@@ -781,9 +781,9 @@ def check_scaleout_escrow(cluster) -> List[str]:
 def check_takeover_latency(cluster) -> List[str]:
     """Every standby takeover landed within one report_grace window.
 
-    The headline promise of the warm standby: leader loss to restored
-    admission service in at most ``report_grace`` seconds — the window
-    a *cold* restart only begins its ReportState collection in.
+    The headline promise of the warm standby: leader loss to reopened
+    admissions — detection plus the StateReport round trip both paths
+    share — in at most ``report_grace`` seconds.
     """
     problems = []
     grace = cluster.config.recovery.report_grace

@@ -27,7 +27,7 @@ __all__ = [
     "SMALL", "FAST", "MCAST", "make_packets", "build_cluster",
     "open_client", "start_stream", "start_viewer", "start_viewers_together",
     "beat_until", "record_holds", "record_failures", "crash_in_hold",
-    "build_admission_db",
+    "build_admission_db", "record_through_outage", "leader_back",
 ]
 
 #: Small IB-tree pages: test titles span many pages without being big.
@@ -137,6 +137,40 @@ def start_viewers_together(sim, requests):
         for client, title, port in requests
     ]
     return [sim.run_until_event(proc, limit=30.0) for proc in procs]
+
+
+def record_through_outage(sim, cluster, client, name, pages=50):
+    """Record ``name`` (``pages`` 4 KiB payloads 20 ms apart), crash the
+    Coordinator 0.7 s in, and quit the recording 0.05 s later: it
+    completes while the Coordinator is down, so the StreamTerminated
+    carrying its size is lost.  Returns the recording's GroupView."""
+
+    def scenario():
+        yield from client.register_port("cam", "mpeg1")
+        view = yield from client.record(name, "mpeg1", "cam", 30.0)
+        yield from client.wait_ready(view)
+        source = [(i * 20_000, bytes([i % 256]) * 4096) for i in range(pages)]
+        sim.process(client.send_stream(
+            "cam", view.record_addresses()[name], source
+        ))
+        return view
+
+    view = sim.run_until_event(sim.process(scenario()), limit=10.0)
+    sim.run(until=sim.now + 0.7)
+    cluster.crash_coordinator()
+    sim.run(until=sim.now + 0.05)
+    client.quit(view.group_id)
+    sim.run(until=sim.now + 0.5)
+    return view
+
+
+def leader_back(cluster, door):
+    """End a Coordinator outage through ``door``: ``"restart"`` cold-starts
+    a replacement now; ``"takeover"`` means the warm standby
+    (``build_cluster(standby=True)``) has already been promoted."""
+    if door == "restart":
+        cluster.restart_coordinator()
+    assert not cluster.coordinator_down
 
 
 def record_holds(coord):

@@ -6,8 +6,7 @@ hellos bind a control channel and stay in the loops.  The core installs
 its kinds, and the multicast, live and edge managers install theirs.
 These tests pin that ownership and show that a part defined outside
 ``src/`` rides the same dispatch and lifecycle hooks: its message kind
-runs in arrival order, its ``msu_failed`` runs on an MSU failure, and
-its ``protected_groups`` survive a takeover's heartbeat diff.
+runs in arrival order, and its ``msu_failed`` runs on an MSU failure.
 """
 
 import dataclasses
@@ -15,9 +14,8 @@ import inspect
 
 import pytest
 
-from repro.core.admission import Allocation, StreamMeta
 from repro.core.cluster import ClusterConfig, build_coordinator
-from repro.core.coordinator import Coordinator, GroupRecord
+from repro.core.coordinator import Coordinator
 from repro.edge import EdgeConfig
 from repro.failover import FailoverConfig
 from repro.live import LiveConfig
@@ -27,7 +25,6 @@ from repro.net.network import ControlChannel
 from repro.recovery import restore_state, snapshot_state
 from repro.recovery.parts import Part
 from repro.sim import Simulator
-from repro.units import MPEG1_RATE
 
 #: Every MSU/edge -> Coordinator message class and the part that serves it.
 OWNERS = {
@@ -136,9 +133,8 @@ class Probe:
 class ToyPart(Part):
     """A subsystem defined outside ``src/``, added with ``add_part``."""
 
-    def __init__(self, coord, protect=()):
+    def __init__(self, coord):
         self.coord = coord
-        self.protect = set(protect)
         self.seen = []
         self.failed = []
         coord.install(Probe, self.probe)
@@ -149,20 +145,6 @@ class ToyPart(Part):
 
     def msu_failed(self, msu_name):
         self.failed.append(msu_name)
-
-    def protected_groups(self):
-        return self.protect
-
-
-def playback_group(coord, group_id, stream_id):
-    """A plain playback group on m0, charged to its books."""
-    group = GroupRecord(group_id, 0, "m0")
-    group.allocations[stream_id] = coord.admission.apply(
-        Allocation("m0", "m0.sd0", MPEG1_RATE)
-    )
-    group.streams[stream_id] = StreamMeta("movie", "mpeg1", ("client", 5000))
-    coord.groups[group_id] = group
-    return group
 
 
 class TestSeam:
@@ -201,23 +183,6 @@ class TestSeam:
         restore_state(coord, state)
         assert snapshot_state(coord) == bare
 
-    def test_protected_groups_survive_the_takeover_heartbeat_diff(self):
-        sim = Simulator()
-        coord = Coordinator(sim)
-        toy = ToyPart(coord, protect={2})
-        coord.add_part(toy)
-        channel = say_hello(sim, coord)
-        sim.run(until=0.1)
-        playback_group(coord, 1, 10)
-        playback_group(coord, 2, 20)
-        coord.arm_heartbeat_reconcile(["m0"])
-        # The fresh beat reports neither stream: both ended with the old
-        # leader, but only the unprotected one is the core's to drop.
-        channel.send("m0", m.Heartbeat("m0", 1, ()))
-        sim.run(until=0.2)
-        assert sorted(coord.groups) == [2]
-        assert coord.takeover_drops == 1
-
 
 def test_channel_and_live_parts_claim_disjoint_groups_over_a_chaos_run():
     """``_stream_terminated`` offers a termination to every part in
@@ -238,8 +203,8 @@ def test_channel_and_live_parts_claim_disjoint_groups_over_a_chaos_run():
     terminated, claimed = coord._stream_terminated, []
 
     def checked(msg):
-        channel = coord.channel_manager.protected_groups()
-        live = coord.live_manager.protected_groups()
+        channel = coord.channel_manager.owned_groups()
+        live = coord.live_manager.owned_groups()
         assert not channel & live
         claimed.append((msg.group_id in channel, msg.group_id in live))
         terminated(msg)

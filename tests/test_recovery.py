@@ -15,9 +15,11 @@ import json
 
 import pytest
 
+from repro.clients import Client
 from repro.core.coordinator import Coordinator
 from repro.errors import CalliopeError, ContentInUseError
 from repro.live import ChannelSpec
+from repro.net import messages as m
 from repro.recovery import (
     JournalStore,
     books_state,
@@ -31,7 +33,8 @@ from repro.units import MPEG1_RATE
 from repro.verify import builtin_registry
 
 from tests.helpers import (
-    MCAST, build_cluster, open_client, start_viewer, start_viewers_together,
+    MCAST, build_cluster, leader_back, open_client, record_through_outage,
+    start_viewer, start_viewers_together,
 )
 from tests.test_live import build_live
 
@@ -148,6 +151,10 @@ class TestSnapshotRestore:
         assert set(clone.db.customers) == {"user", "late"}
 
 
+#: The two ways a Coordinator comes back (``leader_back``).
+DOORS = ("restart", "takeover")
+
+
 @pytest.mark.integration
 class TestCoordinatorRestart:
     def test_admitted_streams_survive_the_outage(self):
@@ -192,8 +199,11 @@ class TestCoordinatorRestart:
         with pytest.raises(CalliopeError, match="closed"):
             sim.run_until_event(proc, limit=5.0)
 
-    def test_termination_during_outage_resolved_msu_wins(self):
-        sim, cluster, _ = build_cluster(n_msus=2, n_titles=2, run_to=0.3)
+    @pytest.mark.parametrize("door", DOORS)
+    def test_termination_during_outage_resolved_msu_wins(self, door):
+        sim, cluster, _ = build_cluster(
+            n_msus=2, n_titles=2, run_to=0.3, standby=door == "takeover"
+        )
         client = open_client(sim, cluster)
         kept = start_viewer(sim, client, "title0", "v0")
         quitter = start_viewer(sim, client, "title1", "v1")
@@ -202,7 +212,7 @@ class TestCoordinatorRestart:
         # alive; the StreamTerminated toward the dead Coordinator is lost.
         client.quit(quitter.group_id)
         sim.run(until=sim.now + 1.0)
-        cluster.restart_coordinator()
+        leader_back(cluster, door)
         sim.run(until=sim.now + 1.0)
         coord = cluster.coordinator
         outcome = coord.last_recovery
@@ -215,16 +225,18 @@ class TestCoordinatorRestart:
             == json.dumps(expected_books(coord), sort_keys=True)
         )
 
-    def test_msu_dead_during_outage_declared_failed(self):
+    @pytest.mark.parametrize("door", DOORS)
+    def test_msu_dead_during_outage_declared_failed(self, door):
         sim, cluster, _ = build_cluster(
-            n_msus=2, n_titles=1, failover="fast", run_to=0.3
+            n_msus=2, n_titles=1, failover="fast", run_to=0.3,
+            standby=door == "takeover",
         )
         client = open_client(sim, cluster)
         start_viewer(sim, client, "title0", "v0")
         cluster.crash_coordinator()
         cluster.fail_msu(1, crash=True)  # no StateReport will ever come
         sim.run(until=sim.now + 0.5)
-        cluster.restart_coordinator()
+        leader_back(cluster, door)
         sim.run(until=sim.now + 2.0)
         coord = cluster.coordinator
         outcome = coord.last_recovery
@@ -270,6 +282,35 @@ class TestCoordinatorRestart:
         coord = cluster.coordinator
         assert coord.last_recovery is not None
         assert coord.last_recovery.msus_reported == 0
+
+    def test_recorded_blocks_survive_the_reconcile(self):
+        # The recording completes while the Coordinator is down, so its
+        # size reaches the replacement only through the StateReport;
+        # deleting it must return exactly the blocks the MSU frees.
+        sim, cluster, _ = build_cluster(n_msus=1, run_to=0.3)
+        cluster.coordinator.db.add_customer("root", admin=True)
+        client = open_client(sim, cluster)
+        record_through_outage(sim, cluster, client, "take")
+        cluster.restart_coordinator()
+        sim.run(until=sim.now + 1.0)
+        coord = cluster.coordinator
+        entry = coord.db.content("take")
+        fs = cluster.msus[0].filesystems[entry.disk_id]
+        assert entry.blocks == fs.open("take").nblocks > 0
+        admin = Client(sim, cluster, "admin")
+
+        def delete():
+            yield from admin.open_session("root")
+            return (yield from admin._rpc(
+                m.DeleteContent(admin.session_id, "take", request_id=admin._rid())
+            ))
+
+        reply = sim.run_until_event(sim.process(delete()), limit=5.0)
+        assert isinstance(reply, m.Deleted)
+        sim.run(until=sim.now + 0.5)
+        assert coord.db.msus["msu0"].disks[entry.disk_id].free_blocks == (
+            fs.allocator.free_blocks
+        )
 
 
 class TestRemoveContentGuard:

@@ -3,12 +3,14 @@
 While a restarted Coordinator waits for StateReports, a stream
 termination or a patch drain would fight the reports it has already
 collected, so the Coordinator holds such messages back and applies them
-once reconciliation completes.  One MSU hung through the restart keeps
-the window open for the whole ``report_grace``; a message the other MSU
-sends inside it must be held, then applied exactly once.
+once reconciliation completes.  One MSU that hangs just after the
+restart reattaches it keeps the window open for the whole
+``report_grace`` (one already down at the restart would be declared
+missing at once); a message the other MSU sends inside it must be held,
+then applied exactly once.
 
-Timeline (both tests): the Coordinator crashes and msu1 hangs at 1.0 s,
-the Coordinator restarts at 1.5 s, and the grace expires at 2.5 s.
+Timeline (both tests): the Coordinator crashes at 1.0 s, restarts at
+1.5 s with msu1 hanging as it says hello, and the grace expires at 2.5 s.
 """
 
 import json
@@ -30,9 +32,9 @@ AFTER_GRACE = 2.6
 def restart_with_msu1_silent(sim, cluster):
     sim.run(until=CRASH_AT)
     cluster.crash_coordinator()
-    cluster.hang_msu(1)
     sim.run(until=RESTART_AT)
     cluster.restart_coordinator()
+    cluster.hang_msu(1)  # its hello is on the wire; no report follows
 
 
 @pytest.mark.integration

@@ -19,13 +19,19 @@ from repro.failover.heartbeat import (
     MsuHealth,
 )
 from repro.net import messages as m
-from repro.recovery import restore_state, snapshot_state
+from repro.recovery import (
+    books_state,
+    expected_books,
+    restore_state,
+    snapshot_state,
+)
 from repro.scaleout import ShardSet, shard_for
 from repro.sim import Simulator
 from repro.verify import ChaosConfig, ChaosSchedule, run_schedule
 from repro.verify.faults import FAULT_KINDS, SCALEOUT_FAULT_KINDS, FaultOp
 from repro.verify.invariants import (
     check_admission_conservation,
+    check_recovery_reconciliation,
     check_scaleout_escrow,
     check_takeover_latency,
 )
@@ -35,6 +41,7 @@ from tests.helpers import (
     build_admission_db,
     build_cluster,
     open_client,
+    record_through_outage,
     start_stream,
 )
 
@@ -293,10 +300,33 @@ class TestWarmStandbyTakeover:
         assert cluster.coordinator is standby.shadow
         assert not cluster.coordinator_down
         assert cluster.coordinator is not old
-        assert cluster.coordinator.takeover_drops == 0
+        recovery = cluster.coordinator.last_recovery
+        assert recovery.streams_dropped == 0
         assert _active_streams(cluster.coordinator) == before
         assert cluster.standbys == []
         assert check_takeover_latency(cluster) == []
+        # Admissions reopen when the shared reconcile completes: the
+        # takeover is detection plus the StateReport round trip.
+        assert outcome.takeover_latency - outcome.detection_latency == (
+            pytest.approx(recovery.time_to_recover, abs=1e-12)
+        )
+        assert recovery.time_to_recover > 0.0
+
+    def test_recording_that_ended_while_leaderless_is_dropped(self):
+        # The quit reaches the MSU, but its StreamTerminated dies with
+        # the leader's socket; the promoted standby's reconcile must
+        # drop the recording instead of charging its disk forever.
+        sim, cluster, _ = build_cluster(n_msus=1, standby=True, run_to=0.05)
+        client = open_client(sim, cluster)
+        view = record_through_outage(sim, cluster, client, "take")
+        sim.run(until=sim.now + 1.0)
+        assert cluster.takeovers
+        coord = cluster.coordinator
+        assert view.group_id not in coord.groups
+        assert coord.last_recovery.streams_dropped == 1
+        assert books_state(coord) == expected_books(coord)
+        sim.run(until=sim.now + 1.0)
+        assert check_recovery_reconciliation(cluster) == []
 
     def test_new_admissions_work_after_takeover(self):
         sim, cluster, _ = build_cluster(
@@ -320,7 +350,7 @@ class TestWarmStandbyTakeover:
     def test_queued_play_retried_at_takeover_waits_for_the_hello(self):
         # Partitions are not journaled, so a play parked behind one at
         # the leader fits at once on the promoted standby, whose
-        # takeover retries the queue before any MSU has said hello.
+        # reconcile retries the queue only after msu0's hello and report.
         sim, cluster, _ = build_cluster(
             n_msus=1, n_titles=2, n_coordinators=2, standby=True, run_to=0.05
         )
@@ -339,8 +369,7 @@ class TestWarmStandbyTakeover:
         sim.run(until=4.0)
         coord = cluster.coordinator
         assert coord is not leader
-        # The retry released its charge and parked again; msu0's hello
-        # retried the queue and placed the play.
+        # The one retry placed the play on msu0.
         assert [
             meta.content_name
             for group in coord.groups.values()
@@ -482,12 +511,12 @@ class TestTakeoverInvariant:
 
         late = TakeoverOutcome(
             leader_lost_at=1.0, detected_at=2.0, completed_at=2.5,
-            records_tailed=3, resyncs=0, streams_at_takeover=1,
+            records_tailed=3,
         )
         assert check_takeover_latency(self._cluster_with(late))
         fine = TakeoverOutcome(
             leader_lost_at=1.0, detected_at=1.3, completed_at=1.3,
-            records_tailed=3, resyncs=0, streams_at_takeover=1,
+            records_tailed=3,
         )
         assert check_takeover_latency(self._cluster_with(fine)) == []
 

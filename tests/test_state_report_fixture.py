@@ -4,8 +4,8 @@
 ``state_report()`` sampled every 0.5 s from 0.5 s to 9.0 s of the all-on
 chaos cluster that writes the v1 journal fixture (multicast, cache,
 failover, live TV, one edge, two admission shards; seed 10).  The samples
-cover active streams, multicast channels, live channels and pinned
-prefixes.  A change to how the MSU installs, tears down or reports its
+cover active streams, multicast channels, live channels, pinned prefixes
+and stored file sizes.  A change to how the MSU installs, tears down or reports its
 streams, channels, rings or pins that alters what a restarted Coordinator
 would be told fails here.  The same run's journal must also equal the
 committed ``journal.json``, so a change to what the Coordinator logs
@@ -35,7 +35,7 @@ def test_samples_cover_every_report_section():
     samples = json.loads((FIXTURE / "state_reports.json").read_text())
     assert [s["t"] for s in samples] == [0.5 * k for k in range(1, 19)]
     reports = [r for s in samples for r in s["reports"]]
-    for section in ("streams", "channels", "live_channels", "pins"):
+    for section in ("streams", "channels", "live_channels", "pins", "files"):
         assert any(r[section] for r in reports), section
     assert max(len(r["streams"]) for r in reports) == 20
 
